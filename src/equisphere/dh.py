@@ -6,7 +6,16 @@ The forward transform is the explicit quadrature
 
 evaluated by separation of variables: length ``2L`` FFTs over longitude,
 then weighted contractions against normalized Legendre profiles over the
-``2L`` latitude rows, for an ``O(L**3)`` total.  The quadrature weights
+latitude rows, for an ``O(L**3)`` total.  The profiles are streamed one
+degree at a time (:func:`~equisphere.wigner.legendre_degrees`) on the
+``L + 1`` northern rows only, pole and equator included; row ``2L - t``
+sits at ``-cos(theta_t)``, so the equatorial symmetry
+``P_l^m(-x) = (-1)**(l + m) P_l^m(x)`` supplies the southern rows.  The
+forward folds each southern row onto its northern partner as a sum and a
+difference and contracts every degree against the one of matching
+``l + m`` parity; the inverse keeps even-degree and odd-degree sums apart
+and unfolds them at the end.  No table is stored: working memory is
+``O(L * n_theta)``.  The quadrature weights
 
     q(theta_t) = (2 pi / L**2) sin(theta_t)
                  sum_{k<L} sin((2k+1) theta_t) / (2k+1)
@@ -35,7 +44,7 @@ from .samples import (
     make_grid,
     theta_nodes,
 )
-from .wigner import norm_legendre_tables, ylm_matrix
+from .wigner import legendre_degrees, ylm_matrix
 
 __all__ = [
     "DhWeights",
@@ -82,9 +91,13 @@ def _check_grid(signal: SphereSignal) -> GridDescriptor:
     return signal.grid
 
 
-def _coeff_rows(L: int, m: int) -> np.ndarray:
-    ells = np.arange(m, L)
-    return ells * ells + ells + m
+def _signs(L: int) -> np.ndarray:
+    return 1.0 - 2.0 * (np.arange(L) % 2)  # (-1)**m
+
+
+def _real_rows(a: np.ndarray) -> np.ndarray:
+    # complex (t, m, +m/-m) -> real (m, re/im of +m/-m, t), contiguous in t
+    return np.ascontiguousarray(a.view(np.float64).transpose(1, 2, 0))
 
 
 def dh_forward(signal: SphereSignal) -> HarmonicCoeffs:
@@ -94,19 +107,32 @@ def dh_forward(signal: SphereSignal) -> HarmonicCoeffs:
     """
     grid = _check_grid(signal)
     L = grid.L
-    n_phi = grid.n_phi
-    f = expand(signal)
-    g = np.fft.fft(f, axis=1)  # column m holds sum_p f e^{-i m phi_p}
-    wq = dh_weights(L).q
-    wg = wq[:, None] * g
-    tables = norm_legendre_tables(L, np.cos(theta_nodes(grid)))
-    coeffs = np.zeros(L * L, dtype=np.complex128)
-    for m in range(L):
-        coeffs[_coeff_rows(L, m)] = tables[m] @ wg[:, m]
-        if m > 0:
-            coeffs[_coeff_rows(L, m) - 2 * m] = (-1) ** m * (
-                tables[m] @ wg[:, n_phi - m]
-            )
+    g = np.fft.fft(expand(signal), axis=1)  # column m: sum_p f e^{-i m phi_p}
+    wg = dh_weights(L).q[:, None] * g
+    m = np.arange(L)
+    w = np.stack([wg[:, m], wg[:, -m]], axis=-1)  # (t, m, +m/-m)
+    # Row 2L - t sits at -cos(theta_t): fold it onto row t as a sum, which
+    # pairs with profiles of even l + m, and a difference, which pairs with
+    # odd l + m.  The pole (t = 0) and the equator (t = L) have no partner.
+    north = w[: L + 1]
+    south = np.zeros_like(north)
+    south[1:L] = w[: L : -1]
+    even, odd = north + south, north - south
+    odd_m = (m % 2 == 1)[None, :, None]
+    # fold[l % 2]: real (m, re/im of +m/-m, t) rows for degrees of that parity
+    fold = [
+        _real_rows(np.where(odd_m, odd, even)),
+        _real_rows(np.where(odd_m, even, odd)),
+    ]
+    signs = _signs(L)
+    coeffs = np.empty(L * L, dtype=np.complex128)
+    x = np.cos(theta_nodes(grid)[: L + 1])
+    for el, block in enumerate(legendre_degrees(L, x)):
+        r = np.matmul(fold[el % 2][: el + 1], block[:, :, None])
+        r = r[:, :, 0].view(np.complex128)  # (m, +m/-m)
+        centre = el * el + el
+        coeffs[centre : centre + el + 1] = r[:, 0]
+        coeffs[el * el : centre] = (signs[1 : el + 1] * r[1:, 1])[::-1]
     return HarmonicCoeffs(L, coeffs)
 
 
@@ -117,14 +143,28 @@ def dh_inverse(coeffs: HarmonicCoeffs, L: int | None = None) -> SphereSignal:
     if L != coeffs.L:
         raise GridMismatchError(f"coefficients have L={coeffs.L}, requested {L}")
     grid = make_grid(GridKind.DH, L)
-    tables = norm_legendre_tables(L, np.cos(theta_nodes(grid)))
+    x = np.cos(theta_nodes(grid)[: L + 1])
+    signs = _signs(L)
+    vals = coeffs.values
+    # Northern-row sums over even and over odd degrees, kept apart so the
+    # southern rows follow from P_l^m(-x) = (-1)**(l + m) P_l^m(x).
+    acc = np.zeros((2, L, 4, L + 1))  # (l parity, m, re/im of +m/-m, t)
+    c = np.zeros((L, 2), dtype=np.complex128)
+    cr = c.view(np.float64)
+    for el, block in enumerate(legendre_degrees(L, x)):
+        centre = el * el + el
+        c[: el + 1, 0] = vals[centre : centre + el + 1]
+        c[1 : el + 1, 1] = signs[1 : el + 1] * vals[el * el : centre][::-1]
+        acc[el % 2, : el + 1] += cr[: el + 1, :, None] * block[:, None, :]
+    even, odd = (
+        np.ascontiguousarray(a.transpose(2, 0, 1)).view(np.complex128) for a in acc
+    )  # (t, m, +m/-m)
+    rows = np.concatenate(
+        [even + odd, ((even - odd) * signs[None, :, None])[L - 1 : 0 : -1]]
+    )
     h = np.zeros((grid.n_theta, grid.n_phi), dtype=np.complex128)
-    for m in range(L):
-        h[:, m] = tables[m].T @ coeffs.values[_coeff_rows(L, m)]
-        if m > 0:
-            h[:, grid.n_phi - m] = (-1) ** m * (
-                tables[m].T @ coeffs.values[_coeff_rows(L, m) - 2 * m]
-            )
+    h[:, :L] = rows[:, :, 0]
+    h[:, grid.n_phi - L + 1 :] = rows[:, :0:-1, 1]
     f = np.fft.ifft(h, axis=1) * grid.n_phi
     return SphereSignal(grid, contract(grid, f))
 

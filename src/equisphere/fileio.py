@@ -17,6 +17,9 @@ float64 payload (interleaved re/im for complex):
     bytes 28-35  payload element count (u64)
     bytes 36-63  zero padding
 
+Readers reject payloads holding NaN or infinite values with
+:class:`FormatError`, in both formats.
+
 Experiment configs are flat ``key=value`` text files; ``#`` starts a
 comment.  Result CSVs carry one row per (kind, domain, ratio) cell.
 """
@@ -69,6 +72,13 @@ def _rows(values: np.ndarray, complex_vals: bool):
             yield f"{_fmt(v.real)}\n"
 
 
+def _finite(values: np.ndarray, path) -> np.ndarray:
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise FormatError(f"{path}: non-finite payload value at element {bad[0]}")
+    return values
+
+
 def _parse_rows(lines, n: int, complex_vals: bool, path) -> np.ndarray:
     out = np.empty(n, dtype=np.complex128)
     count = 0
@@ -93,7 +103,7 @@ def _parse_rows(lines, n: int, complex_vals: bool, path) -> np.ndarray:
         count += 1
     if count != n:
         raise FormatError(f"{path}: expected {n} payload rows, found {count}")
-    return out
+    return _finite(out, path)
 
 
 def _write_binary(path: Path, rectype: int, kind_code: int, L: int,
@@ -135,6 +145,7 @@ def _read_binary(path: Path):
         raw = np.frombuffer(fh.read(), dtype="<f8")
     if raw.size != count:
         raise FormatError(f"{path}: expected {count} payload values, found {raw.size}")
+    _finite(raw, path)
     if vtype == 1:
         values = raw[0::2] + 1j * raw[1::2]
     else:

@@ -39,7 +39,7 @@ from .samples import (
     GridMismatchError,
     HarmonicCoeffs,
     SphereSignal,
-    flat_index,
+    conjugate_pairs,
 )
 from .tv import _row_scales, tv_adjoint_raw, tv_apply_raw
 from .wigner import cached_ylm_matrix, norm_legendre_tables
@@ -308,44 +308,36 @@ def real_synthesis_matrix(grid: GridDescriptor) -> np.ndarray:
     ``x = sum_l a_{l0} Y_l0 + sum_{m>0} 2 Re((a + i b) Y_lm)``.
     """
     ymat = cached_ylm_matrix(grid)
-    L = grid.L
-    out = np.empty((grid.n_samples, L * L))
-    for el in range(L):
-        out[:, flat_index(el, 0)] = ymat[:, flat_index(el, 0)].real
-        for m in range(1, el + 1):
-            col = ymat[:, flat_index(el, m)]
-            out[:, flat_index(el, m)] = 2.0 * col.real
-            out[:, flat_index(el, -m)] = -2.0 * col.imag
+    zero, pos, neg, _ = conjugate_pairs(grid.L)
+    out = np.empty((grid.n_samples, grid.L * grid.L))
+    out[:, zero] = ymat[:, zero].real
+    out[:, pos] = 2.0 * ymat[:, pos].real
+    out[:, neg] = -2.0 * ymat[:, pos].imag
     out.flags.writeable = False
     return out
 
 
 def real_params_to_coeffs(L: int, z: np.ndarray) -> HarmonicCoeffs:
     """Complex coefficients (with conjugate symmetry) from real parameters."""
+    zero, pos, neg, sign = conjugate_pairs(L)
     vals = np.zeros(L * L, dtype=np.complex128)
-    for el in range(L):
-        vals[flat_index(el, 0)] = z[flat_index(el, 0)]
-        for m in range(1, el + 1):
-            c = z[flat_index(el, m)] + 1j * z[flat_index(el, -m)]
-            vals[flat_index(el, m)] = c
-            vals[flat_index(el, -m)] = (-1) ** m * np.conj(c)
+    vals[zero] = z[zero]
+    c = z[pos] + 1j * z[neg]
+    vals[pos] = c
+    vals[neg] = sign * np.conj(c)
     return HarmonicCoeffs(L, vals)
 
 
 def coeffs_to_real_params(coeffs: HarmonicCoeffs) -> np.ndarray:
     """Real parameter vector of the conjugate-symmetric part of ``coeffs``."""
-    L = coeffs.L
-    z = np.empty(L * L)
-    for el in range(L):
-        z[flat_index(el, 0)] = coeffs.values[flat_index(el, 0)].real
-        for m in range(1, el + 1):
-            # symmetric part only; exact for genuinely real signals
-            c = 0.5 * (
-                coeffs.values[flat_index(el, m)]
-                + (-1) ** m * np.conj(coeffs.values[flat_index(el, -m)])
-            )
-            z[flat_index(el, m)] = c.real
-            z[flat_index(el, -m)] = c.imag
+    zero, pos, neg, sign = conjugate_pairs(coeffs.L)
+    v = coeffs.values
+    z = np.empty(coeffs.L * coeffs.L)
+    z[zero] = v[zero].real
+    # symmetric part only; exact for genuinely real signals
+    c = 0.5 * (v[pos] + sign * np.conj(v[neg]))
+    z[pos] = c.real
+    z[neg] = c.imag
     return z
 
 

@@ -307,13 +307,28 @@ def contract_adjoint(grid: GridDescriptor, full: np.ndarray) -> np.ndarray:
     return out
 
 
+def conjugate_pairs(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Flat index arrays pairing each order ``m > 0`` with ``-m``, below ``L``.
+
+    Returns ``(zero, pos, neg, sign)``: ``zero[l] = flat_index(l, 0)`` for
+    ``l < L``; for every ``1 <= m <= l < L`` in degree-major order,
+    ``pos = flat_index(l, m)``, ``neg = flat_index(l, -m)`` and
+    ``sign = (-1)**m``.
+    """
+    L = check_bandlimit(L)
+    ell = np.arange(L)
+    zero = ell * ell + ell
+    deg, col = np.tril_indices(L, -1)
+    m = col + 1
+    return zero, zero[deg] + m, zero[deg] - m, 1 - 2 * (m % 2)
+
+
 def random_coeffs(L: int, rng: np.random.Generator, real_signal: bool = False) -> HarmonicCoeffs:
     """Random complex coefficients, optionally with real-signal conjugate symmetry."""
     L = check_bandlimit(L)
     vals = rng.standard_normal(L * L) + 1j * rng.standard_normal(L * L)
     if real_signal:
-        for el in range(L):
-            vals[flat_index(el, 0)] = vals[flat_index(el, 0)].real
-            for m in range(1, el + 1):
-                vals[flat_index(el, -m)] = (-1) ** m * np.conj(vals[flat_index(el, m)])
+        zero, pos, neg, sign = conjugate_pairs(L)
+        vals[zero] = vals[zero].real
+        vals[neg] = sign * np.conj(vals[pos])
     return HarmonicCoeffs(L, vals)

@@ -9,7 +9,10 @@ Spherical harmonics follow the Condon-Shortley phase convention with the
 and ``Y_{l,-m} = (-1)**m conj(Y_lm)``.  Normalized theta profiles are
 produced by an upward recurrence in degree from the sectoral seed, which
 is stable over the whole supported range; unnormalized ``(l-m)!/(l+m)!``
-factors are never materialized.
+factors are never materialized.  One vectorised recursion,
+:func:`legendre_degrees`, streams the profiles one degree at a time in
+``O(L * len(x))`` working memory; the DH transforms consume it directly
+and :func:`norm_legendre_tables` collects it into per-order tables.
 
 Wigner small-d values at ``beta = pi/2`` (the Delta matrices) are built by
 composing spin one-half plane rotations, two half-steps per degree.  All
@@ -20,6 +23,7 @@ this package targets (tested through L = 128, stable well past L = 1024).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,6 +36,7 @@ __all__ = [
     "ylm",
     "DeltaTable",
     "build_delta_table",
+    "legendre_degrees",
     "norm_legendre_tables",
     "ylm_matrix",
     "cached_delta_table",
@@ -110,8 +115,55 @@ def ylm(el: int, m: int, theta: float, phi: float) -> complex:
     return complex(val)
 
 
+def legendre_degrees(L: int, x: np.ndarray) -> Iterator[np.ndarray]:
+    """Stream normalized theta profiles one degree at a time.
+
+    Runs the normalized three-term recurrence in degree order, vectorised
+    over the order ``m``, in three rotating ``(L, len(x))`` buffers, so the
+    working memory is ``O(L * len(x))`` whatever ``L`` is and nothing is
+    stored between calls.
+
+    Args:
+        L: Band-limit.
+        x: Vector of ``cos(theta)`` values.
+
+    Yields:
+        For ``l = 0 .. L - 1``, an array of shape ``(l + 1, len(x))`` whose
+        row ``m`` holds ``sqrt((2l+1)/(4pi) (l-m)!/(l+m)!) P_l^m(x)``.  The
+        array is a view into a reused buffer: it stays valid until the
+        generator is advanced three more degrees.
+    """
+    L = check_bandlimit(L)
+    x = np.asarray(x, dtype=np.float64)
+    s = np.sqrt((1.0 - x) * (1.0 + x))
+    bufs = [np.empty((L, x.size)) for _ in range(3)]
+    tmp = np.empty((L, x.size))
+    for el in range(L):
+        cur, p1, p2 = bufs[el % 3], bufs[(el - 1) % 3], bufs[(el - 2) % 3]
+        if el == 0:
+            cur[0] = _INV_SQRT_4PI
+        else:
+            k = el - 1  # orders m < l - 1 come from the three-term recurrence
+            m = np.arange(k)
+            a = np.sqrt((4.0 * el * el - 1.0) / (el * el - m * m))
+            e1 = (el - 1.0) ** 2
+            b = np.sqrt((e1 - m * m) / (4.0 * e1 - 1.0))
+            # a (x p_{l-1} - b p_{l-2}) with the operations, and their order,
+            # of the row-by-row recurrence, so the results match it bit for bit
+            np.multiply(x, p1[:k], out=cur[:k])
+            np.multiply(b[:, None], p2[:k], out=tmp[:k])
+            np.subtract(cur[:k], tmp[:k], out=cur[:k])
+            np.multiply(a[:, None], cur[:k], out=cur[:k])
+            # m = l - 1 and m = l from the sectoral profile of degree l - 1
+            cur[k] = x * math.sqrt(2.0 * k + 3.0) * p1[k]
+            cur[el] = p1[k] * (-math.sqrt((2 * el + 1) / (2.0 * el))) * s
+        yield cur[: el + 1]
+
+
 def norm_legendre_tables(L: int, x: np.ndarray) -> list[np.ndarray]:
     """Normalized theta profiles for all degrees below ``L`` at nodes ``x``.
+
+    Collects :func:`legendre_degrees` into per-order tables.
 
     Args:
         L: Band-limit.
@@ -124,23 +176,10 @@ def norm_legendre_tables(L: int, x: np.ndarray) -> list[np.ndarray]:
     """
     L = check_bandlimit(L)
     x = np.asarray(x, dtype=np.float64)
-    s = np.sqrt((1.0 - x) * (1.0 + x))
-    tables: list[np.ndarray] = []
-    pmm = np.full_like(x, _INV_SQRT_4PI)
-    for m in range(L):
-        if m > 0:
-            pmm = pmm * (-math.sqrt((2 * m + 1) / (2.0 * m))) * s
-        tab = np.empty((L - m, x.size))
-        tab[0] = pmm
-        if L - m > 1:
-            tab[1] = x * math.sqrt(2.0 * m + 3.0) * pmm
-        for ell in range(m + 2, L):
-            a = math.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
-            b = math.sqrt(
-                ((ell - 1.0) ** 2 - m * m) / (4.0 * (ell - 1.0) ** 2 - 1.0)
-            )
-            tab[ell - m] = a * (x * tab[ell - m - 1] - b * tab[ell - m - 2])
-        tables.append(tab)
+    tables = [np.empty((L - m, x.size)) for m in range(L)]
+    for el, block in enumerate(legendre_degrees(L, x)):
+        for m in range(el + 1):
+            tables[m][el - m] = block[m]
     return tables
 
 

@@ -5,6 +5,9 @@ values come from the exact factorial sum (high-precision arithmetic),
 sphere integrals from dense trapezoid grids over explicit callables, and
 the continuous TV norm from analytic derivatives of the harmonic basis
 evaluated on a fine midpoint grid.
+
+The ``*_loop`` functions are the plain-loop forms of code the package
+now runs vectorised; tests require the package to match them bit for bit.
 """
 
 from __future__ import annotations
@@ -203,3 +206,75 @@ def continuous_tv_norm(L: int, flat_coeffs: np.ndarray, n: int = 4096) -> float:
         )
         total += float((mag * sin_t).sum()) * hphi * (2 * np.pi / n)
     return total
+
+
+def norm_legendre_tables_loop(L: int, x: np.ndarray) -> list[np.ndarray]:
+    """Normalized theta profiles built order by order, one row per call."""
+    x = np.asarray(x, dtype=np.float64)
+    s = np.sqrt((1.0 - x) * (1.0 + x))
+    tables: list[np.ndarray] = []
+    pmm = np.full_like(x, 0.5 / math.sqrt(math.pi))
+    for m in range(L):
+        if m > 0:
+            pmm = pmm * (-math.sqrt((2 * m + 1) / (2.0 * m))) * s
+        tab = np.empty((L - m, x.size))
+        tab[0] = pmm
+        if L - m > 1:
+            tab[1] = x * math.sqrt(2.0 * m + 3.0) * pmm
+        for ell in range(m + 2, L):
+            a = math.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
+            b = math.sqrt(
+                ((ell - 1.0) ** 2 - m * m) / (4.0 * (ell - 1.0) ** 2 - 1.0)
+            )
+            tab[ell - m] = a * (x * tab[ell - m - 1] - b * tab[ell - m - 2])
+        tables.append(tab)
+    return tables
+
+
+def _fi(el: int, m: int) -> int:
+    return el * el + el + m
+
+
+def random_coeffs_loop(L: int, rng: np.random.Generator, real_signal: bool = False) -> np.ndarray:
+    """Flat random coefficients, conjugate symmetry imposed per (l, m)."""
+    vals = rng.standard_normal(L * L) + 1j * rng.standard_normal(L * L)
+    if real_signal:
+        for el in range(L):
+            vals[_fi(el, 0)] = vals[_fi(el, 0)].real
+            for m in range(1, el + 1):
+                vals[_fi(el, -m)] = (-1) ** m * np.conj(vals[_fi(el, m)])
+    return vals
+
+
+def real_params_to_coeffs_loop(L: int, z: np.ndarray) -> np.ndarray:
+    vals = np.zeros(L * L, dtype=np.complex128)
+    for el in range(L):
+        vals[_fi(el, 0)] = z[_fi(el, 0)]
+        for m in range(1, el + 1):
+            c = z[_fi(el, m)] + 1j * z[_fi(el, -m)]
+            vals[_fi(el, m)] = c
+            vals[_fi(el, -m)] = (-1) ** m * np.conj(c)
+    return vals
+
+
+def coeffs_to_real_params_loop(L: int, values: np.ndarray) -> np.ndarray:
+    z = np.empty(L * L)
+    for el in range(L):
+        z[_fi(el, 0)] = values[_fi(el, 0)].real
+        for m in range(1, el + 1):
+            c = 0.5 * (values[_fi(el, m)] + (-1) ** m * np.conj(values[_fi(el, -m)]))
+            z[_fi(el, m)] = c.real
+            z[_fi(el, -m)] = c.imag
+    return z
+
+
+def real_synthesis_matrix_loop(L: int, ymat: np.ndarray) -> np.ndarray:
+    """Real synthesis columns from a complex synthesis matrix, column by column."""
+    out = np.empty((ymat.shape[0], L * L))
+    for el in range(L):
+        out[:, _fi(el, 0)] = ymat[:, _fi(el, 0)].real
+        for m in range(1, el + 1):
+            col = ymat[:, _fi(el, m)]
+            out[:, _fi(el, m)] = 2.0 * col.real
+            out[:, _fi(el, -m)] = -2.0 * col.imag
+    return out

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,9 +88,15 @@ class TestForward:
         with pytest.raises(GridMismatchError):
             dh_forward(SphereSignal(g, np.zeros(g.n_samples)))
 
-    def test_matches_direct_quadrature(self):
+    @pytest.mark.parametrize("L", [1, 2, 3, 7, 8, 9])
+    def test_matches_direct_quadrature(self, L):
+        # an arbitrary, not band-limited signal also exercises the pole and
+        # equator rows of the equatorial fold
         rng = np.random.default_rng(8)
-        sig = dh_inverse(random_coeffs(7, rng))
+        g = make_grid("dh", L)
+        sig = SphereSignal(
+            g, rng.standard_normal(g.n_samples) + 1j * rng.standard_normal(g.n_samples)
+        )
         a = dh_forward(sig).values
         b = dh_forward_direct(sig).values
         assert np.abs(a - b).max() < 1e-11
@@ -104,9 +111,10 @@ class TestInverse:
         sig = dh_inverse(HarmonicCoeffs(5, vals))
         assert np.abs(sig.values - 1.0).max() < 1e-12
 
-    def test_matches_direct_synthesis(self):
+    @pytest.mark.parametrize("L", [1, 2, 3, 8, 9])
+    def test_matches_direct_synthesis(self, L):
         rng = np.random.default_rng(9)
-        x = random_coeffs(9, rng)
+        x = random_coeffs(L, rng)
         assert np.abs(dh_inverse(x).values - dh_inverse_direct(x).values).max() < 1e-11
 
     def test_bandlimit_mismatch(self):
@@ -120,6 +128,23 @@ class TestInverse:
             x = random_coeffs(L, rng)
             back = dh_forward(dh_inverse(x))
             assert np.abs(back.values - x.values).max() < 1e-9
+
+    def test_roundtrip_large_bandlimit(self):
+        x = random_coeffs(256, np.random.default_rng(256))
+        back = dh_forward(dh_inverse(x))
+        assert np.abs(back.values - x.values).max() < 1e-9
+
+    def test_roundtrip_working_memory(self):
+        # streamed Legendre recursion: no O(L^3) table is built per call
+        # (a full table set at L = 256 is about 135 MB)
+        x = random_coeffs(256, np.random.default_rng(1))
+        tracemalloc.start()
+        try:
+            dh_forward(dh_inverse(x))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
     def test_linearity(self):
         rng = np.random.default_rng(10)

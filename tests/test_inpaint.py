@@ -28,6 +28,9 @@ from equisphere.samples import (
     random_coeffs,
 )
 from equisphere.tv import tv_norm
+from equisphere.wigner import ylm_matrix
+
+import oracles
 
 
 def _real_cap_signal(kind="mw", L=16, **kwargs):
@@ -165,6 +168,31 @@ class TestRealParameterization:
         direct = mw_inverse(coeffs).values.real
         via_real = real_synthesis_matrix(g) @ coeffs_to_real_params(coeffs)
         assert np.abs(direct - via_real).max() < 1e-11
+
+
+class TestPackingMatchesLoops:
+    @pytest.mark.parametrize("L", [1, 2, 9])
+    def test_random_coeffs(self, L):
+        for real in (False, True):
+            got = random_coeffs(L, np.random.default_rng(L), real_signal=real).values
+            expect = oracles.random_coeffs_loop(L, np.random.default_rng(L), real)
+            assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("L", [1, 2, 9])
+    def test_real_params(self, L):
+        rng = np.random.default_rng(43)
+        z = rng.standard_normal(L * L)
+        got = real_params_to_coeffs(L, z).values
+        assert np.array_equal(got, oracles.real_params_to_coeffs_loop(L, z))
+        coeffs = random_coeffs(L, rng)
+        got = coeffs_to_real_params(coeffs)
+        assert np.array_equal(got, oracles.coeffs_to_real_params_loop(L, coeffs.values))
+
+    @pytest.mark.parametrize("kind", ["dh", "mw"])
+    def test_real_synthesis_matrix(self, kind):
+        g = make_grid(kind, 6)
+        expect = oracles.real_synthesis_matrix_loop(6, ylm_matrix(g))
+        assert np.array_equal(real_synthesis_matrix(g), expect)
 
 
 class TestSnr:

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import equisphere
 from equisphere.cli import main
 from equisphere.fileio import (
     FormatError,
@@ -79,6 +83,28 @@ class TestSignalFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError):
             read_signal(tmp_path / "nope.sig")
+
+
+class TestNonFinitePayload:
+    @pytest.mark.parametrize("binary", [False, True])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_signal_rejected(self, tmp_path, binary, bad):
+        g = make_grid("mw", 4)
+        vals = np.ones(g.n_samples, dtype=complex)
+        vals[5] = bad
+        p = tmp_path / "nf.sig"
+        write_signal(p, SphereSignal(g, vals), binary=binary)
+        with pytest.raises(FormatError, match="non-finite"):
+            read_signal(p)
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_coeffs_rejected(self, tmp_path, binary):
+        vals = np.zeros(9, dtype=complex)
+        vals[4] = complex(0.0, math.inf)
+        p = tmp_path / "nf.coef"
+        write_coeffs(p, HarmonicCoeffs(3, vals), binary=binary)
+        with pytest.raises(FormatError, match="non-finite"):
+            read_coeffs(p)
 
 
 class TestCoeffFiles:
@@ -288,3 +314,54 @@ class TestCli:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("L = 8\nratios =\n")
         assert main(["experiment", str(cfg)]) == 2
+
+    @staticmethod
+    def _nan_file(tmp_path, kind, binary):
+        if kind == "coeffs":
+            vals = np.zeros(16, dtype=complex)
+            vals[3] = math.nan
+            path = tmp_path / "nan.coef"
+            write_coeffs(path, HarmonicCoeffs(4, vals), binary=binary)
+            return path
+        g = make_grid(kind, 8)
+        vals = np.ones(g.n_samples, dtype=complex)
+        vals[5] = complex(math.nan, 0.0)
+        path = tmp_path / "nan.sig"
+        write_signal(path, SphereSignal(g, vals), binary=binary)
+        return path
+
+    @pytest.mark.parametrize("binary", [False, True])
+    @pytest.mark.parametrize(
+        "command, kind",
+        [
+            (["forward"], "dh"),
+            (["forward"], "mw"),
+            (["inverse", "--kind", "mw"], "coeffs"),
+            (["integrate"], "dh"),
+            (["tv-norm"], "mw"),
+        ],
+    )
+    def test_non_finite_input_exit_2(self, tmp_path, capsys, command, kind, binary):
+        infile = self._nan_file(tmp_path, kind, binary)
+        argv = [command[0], "--in", str(infile), *command[1:]]
+        if command[0] in ("forward", "inverse"):
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "non-finite" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_non_finite_input_process_exit_2(self, tmp_path):
+        # the MW forward used to end in an AssertionError traceback
+        infile = self._nan_file(tmp_path, "mw", False)
+        src = os.path.dirname(os.path.dirname(equisphere.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "equisphere.cli", "forward", "--in", str(infile),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert "non-finite" in done.stderr

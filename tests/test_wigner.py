@@ -6,10 +6,11 @@ from scipy.special import sph_harm_y
 
 from equisphere.dh import dh_sample_weights
 from equisphere.mw import mw_sample_weights
-from equisphere.samples import flat_index, make_grid, node_angles
+from equisphere.samples import flat_index, make_grid, node_angles, theta_nodes
 from equisphere.wigner import (
     build_delta_table,
     legendre,
+    legendre_degrees,
     norm_legendre_tables,
     ylm,
     ylm_matrix,
@@ -41,6 +42,24 @@ class TestLegendre:
             legendre(1, 2, 0.0)
         with pytest.raises(ValueError):
             legendre(-1, 0, 0.0)
+
+    @pytest.mark.parametrize("kind", ["dh", "mw"])
+    def test_tables_bit_identical_to_per_order_loop(self, kind):
+        x = np.cos(theta_nodes(make_grid(kind, 32)))
+        got = norm_legendre_tables(32, x)
+        expect = oracles.norm_legendre_tables_loop(32, x)
+        assert len(got) == len(expect)
+        for a, b in zip(got, expect):
+            assert np.array_equal(a, b)
+
+    def test_degree_blocks(self):
+        x = np.linspace(-1.0, 1.0, 5)
+        tables = norm_legendre_tables(9, x)
+        blocks = list(enumerate(b.copy() for b in legendre_degrees(9, x)))
+        assert [b.shape for _, b in blocks] == [(el + 1, 5) for el in range(9)]
+        for el, block in blocks:
+            for m in range(el + 1):
+                assert np.array_equal(block[m], tables[m][el - m])
 
     def test_normalized_tables_match_pointwise(self):
         x = np.linspace(-0.99, 0.99, 7)
