@@ -18,10 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .dh import dh_forward, dh_integrate, dh_inverse, dh_weights
 from .inpaint import make_cap_signal, run_experiment
-from .mw import mw_forward, mw_integrate, mw_inverse, mw_weights
-from .samples import GridKind, GridMismatchError, make_grid, theta_nodes
+from .samples import GridMismatchError, make_grid, theta_nodes
+from .transforms import forward, integrate, inverse, row_weights
 from .tv import tv_norm
 
 EXIT_OK = 0
@@ -32,27 +31,20 @@ EXIT_ALL_FAILED = 4
 
 def _cmd_forward(args) -> int:
     signal, _ = fileio.read_signal(args.infile)
-    fwd = dh_forward if signal.grid.kind is GridKind.DH else mw_forward
-    fileio.write_coeffs(args.out, fwd(signal), binary=args.binary)
+    fileio.write_coeffs(args.out, forward(signal), binary=args.binary)
     return EXIT_OK
 
 
 def _cmd_inverse(args) -> int:
     coeffs = fileio.read_coeffs(args.infile)
-    if args.bandlimit is not None and args.bandlimit != coeffs.L:
-        raise GridMismatchError(
-            f"file band-limit {coeffs.L} != requested {args.bandlimit}"
-        )
-    kind = GridKind(args.kind)
-    inv = dh_inverse if kind is GridKind.DH else mw_inverse
-    fileio.write_signal(args.out, inv(coeffs), binary=args.binary)
+    signal = inverse(args.kind, coeffs, args.bandlimit)
+    fileio.write_signal(args.out, signal, binary=args.binary)
     return EXIT_OK
 
 
 def _cmd_weights(args) -> int:
     grid = make_grid(args.kind, args.bandlimit)
-    q = (dh_weights if grid.kind is GridKind.DH else mw_weights)(grid.L).q
-    fileio.write_weights_csv(args.out, theta_nodes(grid), q)
+    fileio.write_weights_csv(args.out, theta_nodes(grid), row_weights(grid))
     return EXIT_OK
 
 
@@ -69,8 +61,7 @@ def _cmd_tv_norm(args) -> int:
 
 def _cmd_integrate(args) -> int:
     signal, _ = fileio.read_signal(args.infile)
-    integ = dh_integrate if signal.grid.kind is GridKind.DH else mw_integrate
-    value = integ(signal)
+    value = integrate(signal)
     line = f"{float(value.real)!r},{float(value.imag)!r}"
     if args.out:
         Path(args.out).write_text(line + "\n")

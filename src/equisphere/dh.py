@@ -23,28 +23,32 @@ and unfolds them at the end.  No table is stored: working memory is
 satisfy ``sum_t q(theta_t) P_l(cos theta_t) = (2 pi / L) delta_{l0}`` for
 every ``l < 2L``, which makes the rule exact for signals band-limited at
 ``L``.  The pole row has zero weight, so the forward transform ignores it;
-the inverse still synthesizes it.
+the inverse still synthesizes it.  Entry checks, per-sample weights and the
+dense reference inverse are the ones shared with MW (``samples``, ``wigner``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .samples import (
     GridDescriptor,
     GridKind,
-    GridMismatchError,
     HarmonicCoeffs,
     SphereSignal,
     check_bandlimit,
+    checked_grid,
     contract,
     expand,
+    frozen_array,
     make_grid,
+    sample_weights,
     theta_nodes,
 )
-from .wigner import legendre_degrees, ylm_matrix
+from .wigner import inverse_direct, legendre_degrees, ylm_matrix
 
 __all__ = [
     "DhWeights",
@@ -62,33 +66,23 @@ __all__ = [
 class DhWeights:
     """Per-latitude-row quadrature weights ``q(theta_t)``, ``t < 2L``."""
 
+    kind: ClassVar[GridKind] = GridKind.DH
     L: int
     q: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=np.float64)
-        if q.shape != (2 * self.L,):
-            raise ValueError(f"expected {2 * self.L} weights, got shape {q.shape}")
-        q = q.copy()
-        q.flags.writeable = False
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", frozen_array(self.q, 2 * self.L, "q", np.float64))
 
 
 def dh_weights(L: int) -> DhWeights:
     """Quadrature weights for the DH grid at band-limit ``L``."""
     L = check_bandlimit(L)
-    theta = np.pi * np.arange(2 * L) / (2 * L)
+    theta = theta_nodes(make_grid(GridKind.DH, L))
     k = 2 * np.arange(L) + 1
     # sum_k sin((2k+1) theta) / (2k+1), one row per theta
     s = (np.sin(np.outer(theta, k)) / k).sum(axis=1)
     q = (2 * np.pi / L**2) * np.sin(theta) * s
     return DhWeights(L, q)
-
-
-def _check_grid(signal: SphereSignal) -> GridDescriptor:
-    if signal.grid.kind is not GridKind.DH:
-        raise GridMismatchError(f"expected DH grid, got {signal.grid.kind}")
-    return signal.grid
 
 
 def _signs(L: int) -> np.ndarray:
@@ -105,7 +99,7 @@ def dh_forward(signal: SphereSignal) -> HarmonicCoeffs:
 
     Exact (to rounding) for signals band-limited at the grid's ``L``.
     """
-    grid = _check_grid(signal)
+    grid = checked_grid(GridKind.DH, signal)
     L = grid.L
     g = np.fft.fft(expand(signal), axis=1)  # column m: sum_p f e^{-i m phi_p}
     wg = dh_weights(L).q[:, None] * g
@@ -138,11 +132,8 @@ def dh_forward(signal: SphereSignal) -> HarmonicCoeffs:
 
 def dh_inverse(coeffs: HarmonicCoeffs, L: int | None = None) -> SphereSignal:
     """Synthesize the band-limited expansion at every DH node."""
-    if L is None:
-        L = coeffs.L
-    if L != coeffs.L:
-        raise GridMismatchError(f"coefficients have L={coeffs.L}, requested {L}")
-    grid = make_grid(GridKind.DH, L)
+    grid = checked_grid(GridKind.DH, coeffs, L)
+    L = grid.L
     x = np.cos(theta_nodes(grid)[: L + 1])
     signs = _signs(L)
     vals = coeffs.values
@@ -171,13 +162,7 @@ def dh_inverse(coeffs: HarmonicCoeffs, L: int | None = None) -> SphereSignal:
 
 def dh_sample_weights(grid: GridDescriptor) -> np.ndarray:
     """Quadrature weight attached to each stored sample (pole ring folded)."""
-    if grid.kind is not GridKind.DH:
-        raise GridMismatchError(f"expected DH grid, got {grid.kind}")
-    q = dh_weights(grid.L).q
-    w = np.empty(grid.n_samples)
-    w[0] = q[0] * grid.n_phi
-    w[1:] = np.repeat(q[1:], grid.n_phi)
-    return w
+    return sample_weights(checked_grid(GridKind.DH, grid), dh_weights(grid.L).q)
 
 
 def dh_integrate(signal: SphereSignal) -> complex:
@@ -186,7 +171,7 @@ def dh_integrate(signal: SphereSignal) -> complex:
     Equals ``sqrt(4 pi) f_00`` whenever the signal is band-limited at the
     grid's ``L``.
     """
-    grid = _check_grid(signal)
+    grid = checked_grid(GridKind.DH, signal)
     return complex(dh_sample_weights(grid) @ signal.values)
 
 
@@ -195,7 +180,7 @@ def dh_forward_direct(signal: SphereSignal) -> HarmonicCoeffs:
 
     O(L**4); kept as an independent check on the separated transform.
     """
-    grid = _check_grid(signal)
+    grid = checked_grid(GridKind.DH, signal)
     w = dh_sample_weights(grid)
     coeffs = ylm_matrix(grid).conj().T @ (w * signal.values)
     return HarmonicCoeffs(grid.L, coeffs)
@@ -203,9 +188,4 @@ def dh_forward_direct(signal: SphereSignal) -> HarmonicCoeffs:
 
 def dh_inverse_direct(coeffs: HarmonicCoeffs, L: int | None = None) -> SphereSignal:
     """Reference inverse path: dense synthesis matrix applied to coefficients."""
-    if L is None:
-        L = coeffs.L
-    if L != coeffs.L:
-        raise GridMismatchError(f"coefficients have L={coeffs.L}, requested {L}")
-    grid = make_grid(GridKind.DH, L)
-    return SphereSignal(grid, ylm_matrix(grid) @ coeffs.values)
+    return inverse_direct(checked_grid(GridKind.DH, coeffs, L), coeffs)

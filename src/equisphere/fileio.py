@@ -80,6 +80,10 @@ def _finite(values: np.ndarray, path) -> np.ndarray:
 
 
 def _parse_rows(lines, n: int, complex_vals: bool, path) -> np.ndarray:
+    # Every row takes at least one byte, so a header claiming more rows than
+    # the file has bytes is refused before its payload array is allocated.
+    if n > Path(path).stat().st_size:
+        raise FormatError(f"{path}: expected {n} payload rows, file is too short")
     out = np.empty(n, dtype=np.complex128)
     count = 0
     for line in lines:

@@ -31,8 +31,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dh import dh_inverse
-from .mw import mw_inverse
 from .samples import (
     GridDescriptor,
     GridKind,
@@ -41,8 +39,9 @@ from .samples import (
     SphereSignal,
     conjugate_pairs,
 )
+from .transforms import inverse
 from .tv import _row_scales, tv_adjoint_raw, tv_apply_raw
-from .wigner import cached_ylm_matrix, norm_legendre_tables
+from .wigner import cached_ylm_matrix, ylm_points
 
 __all__ = [
     "SolveDomain",
@@ -186,25 +185,6 @@ def _legendre_poly_upto(n: int, x: float) -> np.ndarray:
     return p
 
 
-def _ylm_point_all(L: int, theta: float, phi: float) -> np.ndarray:
-    """``Y_lm(theta, phi)`` for all ``l < L`` as a flat vector."""
-    tables = norm_legendre_tables(L, np.array([math.cos(theta)]))
-    out = np.empty(L * L, dtype=np.complex128)
-    for m in range(L):
-        ells = np.arange(m, L)
-        prof = tables[m][:, 0]
-        out[ells * ells + ells + m] = prof * np.exp(1j * m * phi)
-        if m > 0:
-            out[ells * ells + ells - m] = (-1) ** m * prof * np.exp(-1j * m * phi)
-    return out
-
-
-def _inverse_for(grid: GridDescriptor, coeffs: HarmonicCoeffs) -> SphereSignal:
-    if grid.kind is GridKind.DH:
-        return dh_inverse(coeffs, grid.L)
-    return mw_inverse(coeffs, grid.L)
-
-
 def make_cap_signal(
     grid: GridDescriptor,
     caps=DEFAULT_CAPS,
@@ -239,14 +219,14 @@ def make_cap_signal(
         c[0] = math.sqrt(math.pi) * (1.0 - x0)
         ells = np.arange(1, L)
         c[1:] = np.sqrt(np.pi / (2 * ells + 1)) * (p[ells - 1] - p[ells + 1])
-        ybar = np.conj(_ylm_point_all(L, theta_c, phi_c))
+        ybar = np.conj(ylm_points(L, np.array([math.cos(theta_c)]), np.array([phi_c]))[0])
         for el in range(L):
             lo, hi = el * el, (el + 1) * (el + 1)
             coeffs[lo:hi] += amp * c[el] * math.sqrt(4 * math.pi / (2 * el + 1)) * ybar[lo:hi]
     ell_of = np.floor(np.sqrt(np.arange(L * L))).astype(int)
     coeffs *= np.exp(-ell_of * (ell_of + 1) * s * s / 2.0)
     hc = HarmonicCoeffs(L, coeffs)
-    return _inverse_for(grid, hc), hc
+    return inverse(grid.kind, hc, L), hc
 
 
 def _real_values(signal: SphereSignal) -> np.ndarray:
@@ -629,7 +609,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[ExperimentCell], dict
     for ki, kind in enumerate(config.kinds):
         grid = GridDescriptor(kind, config.L)
         if config.coeffs is not None:
-            x_sig = _inverse_for(grid, config.coeffs)
+            x_sig = inverse(grid.kind, config.coeffs, grid.L)
         else:
             x_sig, _ = make_cap_signal(grid, config.caps, config.smoothing)
         x_true = SphereSignal(grid, x_sig.values.real.astype(np.complex128))

@@ -18,26 +18,31 @@ The forward transform runs, in order:
 Every step is exact for band-limited inputs, so the whole chain is an
 exact forward transform at ``O(L**3)`` cost.  The inverse runs the same
 factorization in reverse and ends with an inverse FFT onto the sample
-grid.  Only spin zero (scalar) signals are supported.
+grid.  Only spin zero (scalar) signals are supported.  Entry checks,
+per-sample weights and the dense reference inverse are the ones shared with
+DH (``samples``, ``wigner``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .samples import (
     GridDescriptor,
     GridKind,
-    GridMismatchError,
     HarmonicCoeffs,
     SphereSignal,
     check_bandlimit,
+    checked_grid,
+    contract,
     expand,
-    make_grid,
+    frozen_array,
+    sample_weights,
 )
-from .wigner import cached_delta_table, ylm_matrix
+from .wigner import cached_delta_table, inverse_direct
 
 __all__ = [
     "MwWeights",
@@ -82,6 +87,7 @@ class MwWeights:
     explicit per-row quadrature weights for the ``L`` sphere rows.
     """
 
+    kind: ClassVar[GridKind] = GridKind.MW
     L: int
     w: np.ndarray
     v: np.ndarray
@@ -93,11 +99,7 @@ class MwWeights:
             ("v", 2 * self.L - 1, np.complex128),
             ("q", self.L, np.float64),
         ):
-            arr = np.asarray(getattr(self, name), dtype=dtype)
-            if arr.shape != (n,):
-                raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
-            arr = arr.copy()
-            arr.flags.writeable = False
+            arr = frozen_array(getattr(self, name), n, name, dtype)
             object.__setattr__(self, name, arr)
 
     def weight(self, mp: int) -> complex:
@@ -150,25 +152,10 @@ class TorusSpectrum:
     f_mm: np.ndarray
     g_mm: np.ndarray
 
-    def __post_init__(self):
-        L, n = self.L, 2 * self.L - 1
-        # Extension symmetry is dictated by the construction; a violation
-        # means rows and parity got out of step somewhere upstream.
-        par = (-1.0) ** np.abs(np.arange(-(L - 1), L))
-        for t in range(L - 1):
-            if not np.array_equal(self.g_ext[2 * L - 2 - t], par * self.g_ext[t]):
-                raise AssertionError("periodic extension symmetry violated")
-
-
-def _check_grid(signal: SphereSignal) -> GridDescriptor:
-    if signal.grid.kind is not GridKind.MW:
-        raise GridMismatchError(f"expected MW grid, got {signal.grid.kind}")
-    return signal.grid
-
 
 def mw_torus_spectrum(signal: SphereSignal) -> TorusSpectrum:
     """Run steps 1-4 of the forward chain and keep the intermediates."""
-    grid = _check_grid(signal)
+    grid = checked_grid(GridKind.MW, signal)
     L = grid.L
     n = 2 * L - 1
     f = expand(signal)
@@ -209,11 +196,8 @@ def mw_forward(signal: SphereSignal) -> HarmonicCoeffs:
 
 def mw_inverse(coeffs: HarmonicCoeffs, L: int | None = None) -> SphereSignal:
     """Synthesize the band-limited expansion at every MW node."""
-    if L is None:
-        L = coeffs.L
-    if L != coeffs.L:
-        raise GridMismatchError(f"coefficients have L={coeffs.L}, requested {L}")
-    grid = make_grid(GridKind.MW, L)
+    grid = checked_grid(GridKind.MW, coeffs, L)
+    L = grid.L
     n = 2 * L - 1
     delta = cached_delta_table(L)
     f_mm = np.zeros((n, n), dtype=np.complex128)  # [m, m']
@@ -232,22 +216,12 @@ def mw_inverse(coeffs: HarmonicCoeffs, L: int | None = None) -> SphereSignal:
     mp = np.arange(-(L - 1), L)
     f_mm = f_mm * np.exp(1j * np.pi * mp / n)[None, :]
     torus = np.fft.ifft2(np.fft.ifftshift(f_mm.T)) * n * n  # [t, p]
-    full = torus[:L, :]
-    out = np.empty(grid.n_samples, dtype=np.complex128)
-    out[: grid.n_samples - 1] = full[: L - 1, :].ravel()
-    out[-1] = full[L - 1, 0]
-    return SphereSignal(grid, out)
+    return SphereSignal(grid, contract(grid, torus[:L, :]))
 
 
 def mw_sample_weights(grid: GridDescriptor) -> np.ndarray:
     """Quadrature weight attached to each stored sample (pole ring folded)."""
-    if grid.kind is not GridKind.MW:
-        raise GridMismatchError(f"expected MW grid, got {grid.kind}")
-    q = mw_weights(grid.L).q
-    w = np.empty(grid.n_samples)
-    w[: grid.n_samples - 1] = np.repeat(q[: grid.L - 1], grid.n_phi)
-    w[-1] = q[grid.L - 1] * grid.n_phi
-    return w
+    return sample_weights(checked_grid(GridKind.MW, grid), mw_weights(grid.L).q)
 
 
 def mw_integrate(signal: SphereSignal) -> complex:
@@ -256,15 +230,10 @@ def mw_integrate(signal: SphereSignal) -> complex:
     Equals ``sqrt(4 pi) f_00`` whenever the signal is band-limited at the
     grid's ``L``.
     """
-    grid = _check_grid(signal)
+    grid = checked_grid(GridKind.MW, signal)
     return complex(mw_sample_weights(grid) @ signal.values)
 
 
 def mw_inverse_direct(coeffs: HarmonicCoeffs, L: int | None = None) -> SphereSignal:
     """Reference inverse path: dense synthesis matrix applied to coefficients."""
-    if L is None:
-        L = coeffs.L
-    if L != coeffs.L:
-        raise GridMismatchError(f"coefficients have L={coeffs.L}, requested {L}")
-    grid = make_grid(GridKind.MW, L)
-    return SphereSignal(grid, ylm_matrix(grid) @ coeffs.values)
+    return inverse_direct(checked_grid(GridKind.MW, coeffs, L), coeffs)

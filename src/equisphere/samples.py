@@ -11,9 +11,12 @@ Two equiangular layouts are supported for signals band-limited at ``L``
   ``(L - 1)(2L - 1) + 1`` samples; the south-pole ring (``t = L - 1``) is
   stored once.
 
+Both are read off one per-kind layout table: rows, columns, the pole row,
+the first row's offset (DH 0, MW half a step) and the step ``dtheta``.
 Stored sample vectors are row-major in ``(t, p)`` with the pole ring
-collapsed to a single slot.  Harmonic coefficient vectors are ordered by
-the flat index ``el * (el + 1) + m`` and have length ``L**2``.
+collapsed to one slot, which on both grids sits at ``pole_row * n_phi``.
+Harmonic coefficient vectors are ordered by the flat index
+``el * (el + 1) + m`` and have length ``L**2``.
 
 All containers are immutable after construction (arrays are marked
 read-only), so they can be shared freely across threads.
@@ -39,13 +42,14 @@ __all__ = [
     "phi_node",
     "theta_nodes",
     "phi_nodes",
-    "pole_row",
     "sample_index",
     "node_angles",
     "expand",
     "expand_values",
     "contract",
     "contract_adjoint",
+    "checked_grid",
+    "sample_weights",
     "random_coeffs",
 ]
 
@@ -55,6 +59,17 @@ class GridKind(enum.Enum):
 
     DH = "dh"
     MW = "mw"
+
+
+# The layout of each kind at band-limit L.  The first row sits
+# ``theta_offset`` half steps from the north pole, and ``dtheta`` is
+# ``2 pi / theta_steps``, so theta_t = pi (2 t + theta_offset) / theta_steps.
+_LAYOUT = {
+    GridKind.DH: lambda L: dict(n_theta=2 * L, n_phi=2 * L, pole_row=0,
+                                theta_offset=0, theta_steps=4 * L),
+    GridKind.MW: lambda L: dict(n_theta=L, n_phi=2 * L - 1, pole_row=L - 1,
+                                theta_offset=1, theta_steps=2 * L - 1),
+}
 
 
 class GridMismatchError(ValueError):
@@ -84,15 +99,16 @@ def sample_count(kind, L: int) -> int:
     The pole ring is counted once: ``(2L - 1) 2L + 1`` for DH and
     ``(L - 1)(2L - 1) + 1`` for MW.
     """
-    L = check_bandlimit(L)
-    if as_kind(kind) is GridKind.DH:
-        return (2 * L - 1) * 2 * L + 1
-    return (L - 1) * (2 * L - 1) + 1
+    return make_grid(kind, L).n_samples
 
 
 @dataclass(frozen=True)
 class GridDescriptor:
-    """Fully determined equiangular grid: kind, band-limit, and node counts."""
+    """Fully determined equiangular grid: kind, band-limit, and node counts.
+
+    The kind's layout at ``L`` is set as attributes: ``n_theta``,
+    ``n_phi``, ``pole_row``, ``theta_offset`` and ``theta_steps``.
+    """
 
     kind: GridKind
     L: int
@@ -100,18 +116,20 @@ class GridDescriptor:
     def __post_init__(self):
         object.__setattr__(self, "kind", as_kind(self.kind))
         object.__setattr__(self, "L", check_bandlimit(self.L))
-
-    @property
-    def n_theta(self) -> int:
-        return 2 * self.L if self.kind is GridKind.DH else self.L
-
-    @property
-    def n_phi(self) -> int:
-        return 2 * self.L if self.kind is GridKind.DH else 2 * self.L - 1
+        for name, value in _LAYOUT[self.kind](self.L).items():
+            object.__setattr__(self, name, value)
 
     @property
     def n_samples(self) -> int:
-        return sample_count(self.kind, self.L)
+        return (self.n_theta - 1) * self.n_phi + 1
+
+    @property
+    def dtheta(self) -> float:
+        return 2 * np.pi / self.theta_steps
+
+    @property
+    def dphi(self) -> float:
+        return 2 * np.pi / self.n_phi
 
 
 def make_grid(kind, L: int) -> GridDescriptor:
@@ -130,79 +148,55 @@ def flat_index(el: int, m: int) -> int:
     return el * el + el + m
 
 
-def pole_row(grid: GridDescriptor) -> int:
-    """Row index of the single-valued pole ring (0 for DH, L - 1 for MW)."""
-    return 0 if grid.kind is GridKind.DH else grid.L - 1
-
-
 def theta_node(grid: GridDescriptor, t: int) -> float:
     """Colatitude of row ``t``; raises if ``t`` is out of range."""
     if not 0 <= t < grid.n_theta:
         raise ValueError(f"theta row {t} out of range [0, {grid.n_theta})")
-    if grid.kind is GridKind.DH:
-        return np.pi * t / (2 * grid.L)
-    return np.pi * (2 * t + 1) / (2 * grid.L - 1)
+    return float(theta_nodes(grid)[t])
 
 
 def phi_node(grid: GridDescriptor, p: int) -> float:
     """Longitude of column ``p``; raises if ``p`` is out of range."""
     if not 0 <= p < grid.n_phi:
         raise ValueError(f"phi column {p} out of range [0, {grid.n_phi})")
-    if grid.kind is GridKind.DH:
-        return np.pi * p / grid.L
-    return 2 * np.pi * p / (2 * grid.L - 1)
+    return float(phi_nodes(grid)[p])
 
 
 def theta_nodes(grid: GridDescriptor) -> np.ndarray:
     """All colatitude nodes as a vector of length ``n_theta``."""
     t = np.arange(grid.n_theta)
-    if grid.kind is GridKind.DH:
-        return np.pi * t / (2 * grid.L)
-    return np.pi * (2 * t + 1) / (2 * grid.L - 1)
+    return np.pi * (2 * t + grid.theta_offset) / grid.theta_steps
 
 
 def phi_nodes(grid: GridDescriptor) -> np.ndarray:
     """All longitude nodes as a vector of length ``n_phi``."""
-    p = np.arange(grid.n_phi)
-    if grid.kind is GridKind.DH:
-        return np.pi * p / grid.L
-    return 2 * np.pi * p / (2 * grid.L - 1)
+    return 2 * np.pi * np.arange(grid.n_phi) / grid.n_phi
 
 
 def sample_index(grid: GridDescriptor, t: int, p: int) -> int:
     """Stored-vector position of grid node ``(t, p)``.
 
-    Every ``p`` on the pole ring maps to the same slot.
+    Every ``p`` on the pole ring maps to the same slot, ``pole_row * n_phi``.
     """
     if not 0 <= t < grid.n_theta:
         raise ValueError(f"theta row {t} out of range [0, {grid.n_theta})")
     if not 0 <= p < grid.n_phi:
         raise ValueError(f"phi column {p} out of range [0, {grid.n_phi})")
-    if grid.kind is GridKind.DH:
-        return 0 if t == 0 else 1 + (t - 1) * grid.n_phi + p
-    return (grid.L - 1) * grid.n_phi if t == grid.L - 1 else t * grid.n_phi + p
+    if t == grid.pole_row:
+        return grid.pole_row * grid.n_phi
+    return t * grid.n_phi + p - (grid.n_phi - 1 if t > grid.pole_row else 0)
 
 
 def node_angles(grid: GridDescriptor) -> tuple[np.ndarray, np.ndarray]:
     """Per stored sample ``(theta, phi)`` positions (pole gets ``phi = 0``)."""
-    thetas = theta_nodes(grid)
-    phis = phi_nodes(grid)
-    th = np.empty(grid.n_samples)
-    ph = np.empty(grid.n_samples)
-    for t in range(grid.n_theta):
-        if t == pole_row(grid):
-            i = sample_index(grid, t, 0)
-            th[i] = thetas[t]
-            ph[i] = 0.0
-        else:
-            i0 = sample_index(grid, t, 0)
-            th[i0 : i0 + grid.n_phi] = thetas[t]
-            ph[i0 : i0 + grid.n_phi] = phis
-    return th, ph
+    shape = (grid.n_theta, grid.n_phi)
+    th = contract(grid, np.broadcast_to(theta_nodes(grid)[:, None], shape))
+    return th, contract(grid, np.broadcast_to(phi_nodes(grid), shape))
 
 
-def _frozen_complex(values, n: int, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.complex128)
+def frozen_array(values, n: int, what: str, dtype=np.complex128) -> np.ndarray:
+    """``values`` as a read-only vector of length ``n``, copied if writable."""
+    arr = np.asarray(values, dtype=dtype)
     if arr.shape != (n,):
         raise ValueError(f"{what} must have shape ({n},), got {arr.shape}")
     if arr.flags.writeable:
@@ -222,7 +216,7 @@ class HarmonicCoeffs:
         L = check_bandlimit(self.L)
         object.__setattr__(self, "L", L)
         object.__setattr__(
-            self, "values", _frozen_complex(self.values, L * L, "coefficients")
+            self, "values", frozen_array(self.values, L * L, "coefficients")
         )
 
     @classmethod
@@ -247,8 +241,31 @@ class SphereSignal:
         object.__setattr__(
             self,
             "values",
-            _frozen_complex(self.values, self.grid.n_samples, "signal samples"),
+            frozen_array(self.values, self.grid.n_samples, "signal samples"),
         )
+
+
+def checked_grid(kind, data, L: int | None = None) -> GridDescriptor:
+    """The grid of ``kind`` that ``data`` lies on, after the shared entry checks.
+
+    ``data`` is a grid or a signal, whose grid must be of ``kind`` (any when
+    None), or coefficients, synthesized on the ``kind`` grid at their own
+    band-limit, which ``L`` may restate.  Raises :class:`GridMismatchError`
+    on a wrong kind or band-limit and ``ValueError`` on a NaN or inf value.
+    """
+    if isinstance(data, HarmonicCoeffs):
+        if L is not None and L != data.L:
+            raise GridMismatchError(f"coefficients have L={data.L}, requested {L}")
+        grid = make_grid(kind, data.L)
+    else:
+        grid = getattr(data, "grid", data)
+        if kind is not None and grid.kind is not as_kind(kind):
+            raise GridMismatchError(f"expected {as_kind(kind).name} grid, got {grid.kind}")
+    values = getattr(data, "values", None)
+    if values is not None and not np.isfinite(values).all():
+        what = "coefficients" if isinstance(data, HarmonicCoeffs) else "signal samples"
+        raise ValueError(f"{what} contain non-finite values")
+    return grid
 
 
 def expand_values(grid: GridDescriptor, v: np.ndarray) -> np.ndarray:
@@ -258,16 +275,12 @@ def expand_values(grid: GridDescriptor, v: np.ndarray) -> np.ndarray:
         raise GridMismatchError(
             f"expected {grid.n_samples} stored samples, got shape {v.shape}"
         )
-    full = np.empty((grid.n_theta, grid.n_phi), dtype=v.dtype)
-    if grid.kind is GridKind.DH:
-        full[0, :] = v[0]
-        full[1:, :] = v[1:].reshape(grid.n_theta - 1, grid.n_phi)
-    else:
-        full[: grid.L - 1, :] = v[: grid.n_samples - 1].reshape(
-            grid.L - 1, grid.n_phi
-        )
-        full[grid.L - 1, :] = v[-1]
-    return full
+    k, n = grid.pole_row * grid.n_phi, grid.n_phi
+    full = np.empty(grid.n_theta * n, dtype=v.dtype)
+    full[:k] = v[:k]
+    full[k : k + n] = v[k]
+    full[k + n :] = v[k + 1 :]
+    return full.reshape(grid.n_theta, n)
 
 
 def expand(signal: SphereSignal) -> np.ndarray:
@@ -281,30 +294,26 @@ def contract(grid: GridDescriptor, full: np.ndarray) -> np.ndarray:
         raise GridMismatchError(
             f"expected array of shape {(grid.n_theta, grid.n_phi)}, got {full.shape}"
         )
-    out = np.empty(grid.n_samples, dtype=full.dtype)
-    if grid.kind is GridKind.DH:
-        out[0] = full[0, 0]
-        out[1:] = full[1:, :].ravel()
-    else:
-        out[: grid.n_samples - 1] = full[: grid.L - 1, :].ravel()
-        out[-1] = full[grid.L - 1, 0]
-    return out
+    k = grid.pole_row * grid.n_phi
+    flat = full.reshape(-1)
+    return np.concatenate((flat[: k + 1], flat[k + grid.n_phi :]))
 
 
 def contract_adjoint(grid: GridDescriptor, full: np.ndarray) -> np.ndarray:
     """Adjoint of the expansion map: sums the pole ring into its single slot."""
-    if full.shape != (grid.n_theta, grid.n_phi):
-        raise GridMismatchError(
-            f"expected array of shape {(grid.n_theta, grid.n_phi)}, got {full.shape}"
-        )
-    out = np.empty(grid.n_samples, dtype=full.dtype)
-    if grid.kind is GridKind.DH:
-        out[0] = full[0, :].sum()
-        out[1:] = full[1:, :].ravel()
-    else:
-        out[: grid.n_samples - 1] = full[: grid.L - 1, :].ravel()
-        out[-1] = full[grid.L - 1, :].sum()
+    out = contract(grid, full)
+    out[grid.pole_row * grid.n_phi] = full[grid.pole_row].sum()
     return out
+
+
+def sample_weights(grid: GridDescriptor, q: np.ndarray) -> np.ndarray:
+    """Quadrature weight of each stored sample from the per-row weights ``q``.
+
+    The pole slot stands for its whole ring: it gets ``q[pole_row] * n_phi``.
+    """
+    w = contract(grid, np.broadcast_to(q[:, None], (grid.n_theta, grid.n_phi)))
+    w[grid.pole_row * grid.n_phi] = q[grid.pole_row] * grid.n_phi
+    return w
 
 
 def conjugate_pairs(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

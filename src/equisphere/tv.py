@@ -24,17 +24,17 @@ import numpy as np
 
 from .samples import (
     GridDescriptor,
-    GridKind,
     GridMismatchError,
     SphereSignal,
+    checked_grid,
     contract_adjoint,
     expand,
     expand_values,
-    pole_row,
     theta_nodes,
 )
-from .dh import DhWeights, dh_weights
-from .mw import MwWeights, mw_weights
+from .dh import DhWeights
+from .mw import MwWeights
+from .transforms import row_weights
 
 __all__ = [
     "GradientField",
@@ -78,25 +78,15 @@ def gradient(signal: SphereSignal) -> GradientField:
     return GradientField(signal.grid, d_theta, d_phi)
 
 
-def _spacings(grid: GridDescriptor) -> tuple[float, float]:
-    if grid.kind is GridKind.DH:
-        return np.pi / (2 * grid.L), np.pi / grid.L
-    return 2 * np.pi / (2 * grid.L - 1), 2 * np.pi / (2 * grid.L - 1)
-
-
 def _resolve_weights(grid: GridDescriptor, weights) -> np.ndarray:
     if weights is None:
-        weights = (
-            dh_weights(grid.L) if grid.kind is GridKind.DH else mw_weights(grid.L)
-        )
-    if isinstance(weights, DhWeights):
-        if grid.kind is not GridKind.DH or weights.L != grid.L:
-            raise GridMismatchError("DH weights do not match the signal grid")
-        return weights.q
-    if isinstance(weights, MwWeights):
-        if grid.kind is not GridKind.MW or weights.L != grid.L:
-            raise GridMismatchError("MW weights do not match the signal grid")
-        return weights.q
+        weights = row_weights(grid)
+    elif isinstance(weights, (DhWeights, MwWeights)):
+        if weights.kind is not grid.kind or weights.L != grid.L:
+            raise GridMismatchError(
+                f"{weights.kind.name} weights do not match the signal grid"
+            )
+        weights = weights.q
     q = np.asarray(weights, dtype=np.float64)
     if q.shape != (grid.n_theta,):
         raise GridMismatchError(
@@ -108,16 +98,15 @@ def _resolve_weights(grid: GridDescriptor, weights) -> np.ndarray:
 def _row_scales(grid: GridDescriptor, weights) -> tuple[np.ndarray, np.ndarray]:
     # Per-row factors applied to the raw differences inside the norm.
     q = _resolve_weights(grid, weights)
-    dtheta, dphi = _spacings(grid)
-    a_theta = q / dtheta
+    a_theta = q / grid.dtheta
     a_theta = a_theta.copy()
     a_theta[-1] = 0.0  # no theta difference out of the last row
     sin_t = np.sin(theta_nodes(grid))
     a_phi = np.zeros(grid.n_theta)
     mask = np.ones(grid.n_theta, dtype=bool)
-    mask[pole_row(grid)] = False  # single-valued ring: no longitude term
+    mask[grid.pole_row] = False  # single-valued ring: no longitude term
     mask &= sin_t > 0
-    a_phi[mask] = q[mask] / (sin_t[mask] * dphi)
+    a_phi[mask] = q[mask] / (sin_t[mask] * grid.dphi)
     return a_theta, a_phi
 
 
@@ -163,19 +152,13 @@ def tv_gradient(signal: SphereSignal, weights=None) -> GradientField:
     return GradientField(signal.grid, u_theta, u_phi)
 
 
-def _weighted_magnitude_sum(field: GradientField) -> float:
-    return float(np.sqrt(field.d_theta**2 + field.d_phi**2).sum())
-
-
 def tv_norm(signal: SphereSignal, weights=None) -> float:
     """Quadrature-weighted discrete TV norm of a signal.
 
     Complex signals are handled as the TV of the real part plus the TV of
     the imaginary part; the experiment pipeline is real-valued.
     """
-    if not np.all(np.isfinite(signal.values)):
-        raise ValueError("signal contains non-finite samples")
-    a_theta, a_phi = _row_scales(signal.grid, weights)
+    a_theta, a_phi = _row_scales(checked_grid(None, signal), weights)
     full = expand(signal)
     total = 0.0
     parts = (full.real,) if np.all(full.imag == 0.0) else (full.real, full.imag)

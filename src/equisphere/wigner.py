@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .samples import GridDescriptor, check_bandlimit, flat_index, node_angles
+from .samples import GridDescriptor, SphereSignal, check_bandlimit, node_angles
 
 __all__ = [
     "legendre",
@@ -38,7 +38,9 @@ __all__ = [
     "build_delta_table",
     "legendre_degrees",
     "norm_legendre_tables",
+    "ylm_points",
     "ylm_matrix",
+    "inverse_direct",
     "cached_delta_table",
     "cached_ylm_matrix",
 ]
@@ -183,6 +185,25 @@ def norm_legendre_tables(L: int, x: np.ndarray) -> list[np.ndarray]:
     return tables
 
 
+def ylm_points(L: int, x: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Harmonics below ``L`` at points given by ``cos(theta)`` and ``phi``.
+
+    Returns ``Y[i, flat_index(l, m)] = Y_lm(theta_i, phi_i)`` where
+    ``x[i] = cos(theta_i)``.
+    """
+    tables = norm_legendre_tables(L, x)
+    mat = np.empty((len(phi), L * L), dtype=np.complex128)
+    for m in range(L):
+        phase = np.exp(1j * m * phi)
+        ells = np.arange(m, L)
+        cols_pos = ells * ells + ells + m
+        mat[:, cols_pos] = (tables[m] * phase[None, :]).T
+        if m > 0:
+            cols_neg = ells * ells + ells - m
+            mat[:, cols_neg] = ((-1) ** m) * (tables[m] * np.conj(phase)[None, :]).T
+    return mat
+
+
 def ylm_matrix(grid: GridDescriptor) -> np.ndarray:
     """Dense synthesis matrix ``Y[i, flat_index(l, m)] = Y_lm(node_i)``.
 
@@ -191,19 +212,13 @@ def ylm_matrix(grid: GridDescriptor) -> np.ndarray:
     transform written as a single dense operator.  Intended for reference
     paths and for the inpainting solver at desk-scale band-limits.
     """
-    L = grid.L
     th, ph = node_angles(grid)
-    tables = norm_legendre_tables(L, np.cos(th))
-    mat = np.empty((grid.n_samples, L * L), dtype=np.complex128)
-    for m in range(L):
-        phase = np.exp(1j * m * ph)
-        ells = np.arange(m, L)
-        cols_pos = ells * ells + ells + m
-        mat[:, cols_pos] = (tables[m] * phase[None, :]).T
-        if m > 0:
-            cols_neg = ells * ells + ells - m
-            mat[:, cols_neg] = ((-1) ** m) * (tables[m] * np.conj(phase)[None, :]).T
-    return mat
+    return ylm_points(grid.L, np.cos(th), ph)
+
+
+def inverse_direct(grid: GridDescriptor, coeffs) -> SphereSignal:
+    """Reference inverse path: dense synthesis matrix applied to coefficients."""
+    return SphereSignal(grid, ylm_matrix(grid) @ coeffs.values)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ the continuous TV norm from analytic derivatives of the harmonic basis
 evaluated on a fine midpoint grid.
 
 The ``*_loop`` functions are the plain-loop forms of code the package
-now runs vectorised; tests require the package to match them bit for bit.
+now runs vectorised, and the ``*_branch`` functions the per-grid-kind
+forms of layout code the package now reads off one table; tests require
+the package to match both bit for bit.
 """
 
 from __future__ import annotations
@@ -278,3 +280,118 @@ def real_synthesis_matrix_loop(L: int, ymat: np.ndarray) -> np.ndarray:
             out[:, _fi(el, m)] = 2.0 * col.real
             out[:, _fi(el, -m)] = -2.0 * col.imag
     return out
+
+
+# Per-kind layout code, one branch per grid kind.  ``grid`` needs only
+# ``kind``, ``L``, ``n_theta``, ``n_phi`` and ``n_samples``.
+
+
+def _is_dh(grid) -> bool:
+    return grid.kind.value == "dh"
+
+
+def theta_node_branch(grid, t: int) -> float:
+    if _is_dh(grid):
+        return np.pi * t / (2 * grid.L)
+    return np.pi * (2 * t + 1) / (2 * grid.L - 1)
+
+
+def phi_node_branch(grid, p: int) -> float:
+    if _is_dh(grid):
+        return np.pi * p / grid.L
+    return 2 * np.pi * p / (2 * grid.L - 1)
+
+
+def theta_nodes_branch(grid) -> np.ndarray:
+    t = np.arange(grid.n_theta)
+    if _is_dh(grid):
+        return np.pi * t / (2 * grid.L)
+    return np.pi * (2 * t + 1) / (2 * grid.L - 1)
+
+
+def phi_nodes_branch(grid) -> np.ndarray:
+    p = np.arange(grid.n_phi)
+    if _is_dh(grid):
+        return np.pi * p / grid.L
+    return 2 * np.pi * p / (2 * grid.L - 1)
+
+
+def pole_row_branch(grid) -> int:
+    return 0 if _is_dh(grid) else grid.L - 1
+
+
+def sample_index_branch(grid, t: int, p: int) -> int:
+    if _is_dh(grid):
+        return 0 if t == 0 else 1 + (t - 1) * grid.n_phi + p
+    return (grid.L - 1) * grid.n_phi if t == grid.L - 1 else t * grid.n_phi + p
+
+
+def node_angles_branch(grid) -> tuple[np.ndarray, np.ndarray]:
+    thetas = theta_nodes_branch(grid)
+    phis = phi_nodes_branch(grid)
+    th = np.empty(grid.n_samples)
+    ph = np.empty(grid.n_samples)
+    for t in range(grid.n_theta):
+        if t == pole_row_branch(grid):
+            i = sample_index_branch(grid, t, 0)
+            th[i] = thetas[t]
+            ph[i] = 0.0
+        else:
+            i0 = sample_index_branch(grid, t, 0)
+            th[i0 : i0 + grid.n_phi] = thetas[t]
+            ph[i0 : i0 + grid.n_phi] = phis
+    return th, ph
+
+
+def expand_values_branch(grid, v: np.ndarray) -> np.ndarray:
+    full = np.empty((grid.n_theta, grid.n_phi), dtype=v.dtype)
+    if _is_dh(grid):
+        full[0, :] = v[0]
+        full[1:, :] = v[1:].reshape(grid.n_theta - 1, grid.n_phi)
+    else:
+        full[: grid.L - 1, :] = v[: grid.n_samples - 1].reshape(
+            grid.L - 1, grid.n_phi
+        )
+        full[grid.L - 1, :] = v[-1]
+    return full
+
+
+def contract_branch(grid, full: np.ndarray) -> np.ndarray:
+    out = np.empty(grid.n_samples, dtype=full.dtype)
+    if _is_dh(grid):
+        out[0] = full[0, 0]
+        out[1:] = full[1:, :].ravel()
+    else:
+        out[: grid.n_samples - 1] = full[: grid.L - 1, :].ravel()
+        out[-1] = full[grid.L - 1, 0]
+    return out
+
+
+def contract_adjoint_branch(grid, full: np.ndarray) -> np.ndarray:
+    out = np.empty(grid.n_samples, dtype=full.dtype)
+    if _is_dh(grid):
+        out[0] = full[0, :].sum()
+        out[1:] = full[1:, :].ravel()
+    else:
+        out[: grid.n_samples - 1] = full[: grid.L - 1, :].ravel()
+        out[-1] = full[grid.L - 1, :].sum()
+    return out
+
+
+def tv_spacings_branch(grid) -> tuple[float, float]:
+    """Colatitude and longitude steps of the TV differences."""
+    if _is_dh(grid):
+        return np.pi / (2 * grid.L), np.pi / grid.L
+    return 2 * np.pi / (2 * grid.L - 1), 2 * np.pi / (2 * grid.L - 1)
+
+
+def sample_weights_branch(grid, q: np.ndarray) -> np.ndarray:
+    """Per stored sample weights from the grid kind's row weights ``q``."""
+    w = np.empty(grid.n_samples)
+    if _is_dh(grid):
+        w[0] = q[0] * grid.n_phi
+        w[1:] = np.repeat(q[1:], grid.n_phi)
+    else:
+        w[: grid.n_samples - 1] = np.repeat(q[: grid.L - 1], grid.n_phi)
+        w[-1] = q[grid.L - 1] * grid.n_phi
+    return w
