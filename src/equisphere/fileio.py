@@ -146,7 +146,10 @@ def _read_binary(path: Path):
             raise FormatError(f"{path}: bad magic")
         if version != _VERSION:
             raise FormatError(f"{path}: unsupported format version {version}")
-        raw = np.frombuffer(fh.read(), dtype="<f8")
+        payload = fh.read()
+    if len(payload) % (16 if vtype == 1 else 8):  # whole real or complex values
+        raise FormatError(f"{path}: payload of {len(payload)} bytes is not whole values")
+    raw = np.frombuffer(payload, dtype="<f8")
     if raw.size != count:
         raise FormatError(f"{path}: expected {count} payload values, found {raw.size}")
     _finite(raw, path)

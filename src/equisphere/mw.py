@@ -11,9 +11,15 @@ The forward transform runs, in order:
    ``theta_t = 2 pi (t + 1/2) / (2L - 1)``, so each frequency picks up a
    half-sample phase ``e^{-i pi m' / (2L - 1)}``.
 4. ``G_{mm'} = 2 pi sum_{m''} F_{mm''} w(m'' - m')`` where ``w`` is the
-   exact integral of ``sin(theta) e^{i m' theta}`` over ``[0, pi]``.
+   exact integral of ``sin(theta) e^{i m' theta}`` over ``[0, pi]``: one
+   product with the ``(2L - 1) x (2L - 1)`` Toeplitz matrix of ``w``.
 5. The Delta contraction
-   ``f_lm = i**m sqrt((2l+1)/(4 pi)) sum_{m'} D^l_{m'm} D^l_{m'0} G_{mm'}``.
+   ``f_lm = i**m sqrt((2l+1)/(4 pi)) sum_{m'} D^l_{m'm} D^l_{m'0} G_{mm'}``,
+   streamed per degree from :func:`~equisphere.wigner.delta_quadrants`
+   (``m', m >= 0``) in ``O(L**2)`` working memory.  As ``D_{-m',m} D_{-m',0}
+   = (-1)**m D_{m'm} D_{m'0}``, ``G_{m,-m'}`` is folded onto ``G_{m,m'}``
+   once; as ``D_{m'0} = 0`` for odd ``l + m'``, a degree reads only the rows
+   ``m' = l (mod 2)``, where ``D_{m',-m} = D_{m'm}``, so ``+-m`` share weights.
 
 Every step is exact for band-limited inputs, so the whole chain is an
 exact forward transform at ``O(L**3)`` cost.  The inverse runs the same
@@ -25,6 +31,7 @@ DH (``samples``, ``wigner``).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -42,7 +49,7 @@ from .samples import (
     frozen_array,
     sample_weights,
 )
-from .wigner import cached_delta_table, inverse_direct
+from .wigner import delta_quadrants, inverse_direct
 
 __all__ = [
     "MwWeights",
@@ -65,6 +72,10 @@ _I_POW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 def _ipow(m: np.ndarray) -> np.ndarray:
     """Exact ``i**m`` for integer ``m`` (any sign)."""
     return _I_POW[np.asarray(m) % 4]
+
+
+def _parity(L: int) -> np.ndarray:  # (-1)**m for m = -(L-1) .. L-1
+    return (-1.0) ** np.abs(np.arange(-(L - 1), L))
 
 
 def _weight_fn(mp: np.ndarray) -> np.ndarray:
@@ -160,17 +171,26 @@ def mw_torus_spectrum(signal: SphereSignal) -> TorusSpectrum:
     n = 2 * L - 1
     f = expand(signal)
     g = (2 * np.pi / n) * np.fft.fftshift(np.fft.fft(f, axis=1), axes=1)
-    par = (-1.0) ** np.abs(np.arange(-(L - 1), L))
-    g_ext = np.vstack([g, par[None, :] * g[L - 2 :: -1]]) if L > 1 else g.copy()
+    g_ext = np.vstack([g, _parity(L) * g[: L - 1][::-1]])
     # FFT over the extended colatitude axis; half-sample node offset.
     mp = np.arange(-(L - 1), L)
     farr = np.fft.fftshift(np.fft.fft(g_ext, axis=0), axes=0)  # [m', m]
     f_mm = farr.T * np.exp(-1j * np.pi * mp / n)[None, :] / (2 * np.pi * n)
-    wrev = _weight_fn(2 * (L - 1) - np.arange(4 * L - 3))
-    g_mm = 2 * np.pi * np.vstack(
-        [np.convolve(f_mm[i], wrev, mode="valid") for i in range(n)]
-    )
+    w = _weight_fn(np.arange(1 - n, n))  # entry m'' - m' + n - 1
+    toeplitz = w[np.subtract.outer(np.arange(n - 1, 2 * n - 1), np.arange(n))]
+    g_mm = 2 * np.pi * (f_mm @ toeplitz)
     return TorusSpectrum(L, g, g_ext, f_mm, g_mm)
+
+
+def _weight_blocks(L: int) -> Iterator[tuple[slice, tuple, np.ndarray, np.ndarray]]:
+    # per degree l: its coefficients, its block of h (rows m' = l mod 2, columns
+    # m = -l .. l), sqrt((2l+1)/(4 pi)) Delta_{m'|m|} Delta_{m'0} there, i**m
+    for el, quad in enumerate(delta_quadrants(L)):
+        rows = quad[el % 2 :: 2]
+        weights = rows * (np.sqrt((2 * el + 1) / (4 * np.pi)) * rows[:, :1])
+        ms = np.arange(-el, el + 1)
+        block = np.s_[el % 2 : el + 1 : 2, L - 1 - el : L + el]
+        yield slice(el * el, (el + 1) ** 2), block, weights[:, abs(ms)], _ipow(ms)
 
 
 def mw_forward(signal: SphereSignal) -> HarmonicCoeffs:
@@ -180,17 +200,12 @@ def mw_forward(signal: SphereSignal) -> HarmonicCoeffs:
     """
     spectrum = mw_torus_spectrum(signal)
     L = spectrum.L
-    delta = cached_delta_table(L)
-    coeffs = np.zeros(L * L, dtype=np.complex128)
-    for el in range(L):
-        D = delta.slice(el)
-        weighted = D * D[:, el][:, None]  # Delta_{m'm} Delta_{m'0}
-        block = spectrum.g_mm[L - 1 - el : L + el, L - 1 - el : L + el]
-        s = np.einsum("am,ma->m", weighted, block)
-        marr = np.arange(-el, el + 1)
-        coeffs[el * el + el + marr] = (
-            _ipow(marr) * np.sqrt((2 * el + 1) / (4 * np.pi)) * s
-        )
+    # h[m', m + L - 1] = G_{m,m'} + (-1)**m G_{m,-m'} for m' > 0, G_{m,0} at m' = 0
+    h = spectrum.g_mm[:, L - 1 :].T.copy()
+    h[1:] += _parity(L) * spectrum.g_mm[:, : L - 1][:, ::-1].T
+    coeffs = np.empty(L * L, dtype=np.complex128)
+    for flat, block, weights, phase in _weight_blocks(L):
+        coeffs[flat] = phase * np.einsum("am,am->m", weights, h[block])
     return HarmonicCoeffs(L, coeffs)
 
 
@@ -199,22 +214,12 @@ def mw_inverse(coeffs: HarmonicCoeffs, L: int | None = None) -> SphereSignal:
     grid = checked_grid(GridKind.MW, coeffs, L)
     L = grid.L
     n = 2 * L - 1
-    delta = cached_delta_table(L)
-    f_mm = np.zeros((n, n), dtype=np.complex128)  # [m, m']
-    for el in range(L):
-        D = delta.slice(el)
-        weighted = D * D[:, el][:, None]
-        marr = np.arange(-el, el + 1)
-        vals = (
-            np.sqrt((2 * el + 1) / (4 * np.pi))
-            * _ipow(-marr)
-            * coeffs.values[el * el + el + marr]
-        )
-        f_mm[L - 1 - el : L + el, L - 1 - el : L + el] += np.einsum(
-            "m,am->ma", vals, weighted
-        )
-    mp = np.arange(-(L - 1), L)
-    f_mm = f_mm * np.exp(1j * np.pi * mp / n)[None, :]
+    h = np.zeros((L, n), dtype=np.complex128)  # [m' >= 0, m + L - 1]
+    for flat, block, weights, phase in _weight_blocks(L):
+        h[block] += weights * (phase.conj() * coeffs.values[flat])
+    # [m, m'] with F_{m,-m'} = (-1)**m F_{m,m'}, then the half-sample phase
+    f_mm = np.hstack([(_parity(L) * h[:0:-1]).T, h.T])
+    f_mm *= np.exp(1j * np.pi * np.arange(-(L - 1), L) / n)
     torus = np.fft.ifft2(np.fft.ifftshift(f_mm.T)) * n * n  # [t, p]
     return SphereSignal(grid, contract(grid, torus[:L, :]))
 

@@ -14,10 +14,14 @@ factors are never materialized.  One vectorised recursion,
 ``O(L * len(x))`` working memory; the DH transforms consume it directly
 and :func:`norm_legendre_tables` collects it into per-order tables.
 
-Wigner small-d values at ``beta = pi/2`` (the Delta matrices) are built by
-composing spin one-half plane rotations, two half-steps per degree.  All
-entries stay bounded by one, so no rescaling is needed at the band-limits
-this package targets (tested through L = 128, stable well past L = 1024).
+Wigner small-d values at ``beta = pi/2`` (the Delta matrices) come from
+:func:`delta_quadrants`, the three-term recurrence in degree (Kostelec &
+Rockmore 2008) on the quadrant ``m', m >= 0``, one degree at a time in
+``O(L**2)`` memory.  Its smallest value, the exact corner seed
+``d^l_{ll}(pi/2) = 2**-l``, loses at most one bit to the subnormal range
+through ``l = 1023`` but reaches zero near ``l = 1075``, where the recursion
+would silently return zeros: so ``L <= 1024`` is supported (an MW round trip
+there is exact to about 6e-14) and larger band-limits raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -36,12 +40,12 @@ __all__ = [
     "ylm",
     "DeltaTable",
     "build_delta_table",
+    "delta_quadrants",
     "legendre_degrees",
     "norm_legendre_tables",
     "ylm_points",
     "ylm_matrix",
     "inverse_direct",
-    "cached_delta_table",
     "cached_ylm_matrix",
 ]
 
@@ -243,44 +247,52 @@ class DeltaTable:
         return float(self.slice(el)[m + el, n + el])
 
 
-def _half_step(old: np.ndarray) -> np.ndarray:
-    # One spin one-half rotation composed into the table: degree j - 1/2 to
-    # degree j at beta = pi/2, where cos(beta/2) = sin(beta/2) = 1/sqrt(2).
-    n = old.shape[0]  # n = 2j, old holds 2j values per axis
-    c = 1.0 / math.sqrt(2.0)
-    k = np.arange(1, n + 1, dtype=np.float64)
-    root = np.sqrt(k)
-    rootc = np.sqrt(k[::-1])  # sqrt(2j - k) for k = 0 .. n-1
-    new = np.zeros((n + 1, n + 1))
-    new[1:, 1:] += np.outer(root, root) * old
-    new[1:, :n] -= np.outer(root, rootc) * old
-    new[:n, 1:] += np.outer(rootc, root) * old
-    new[:n, :n] += np.outer(rootc, rootc) * old
-    new *= c / n
-    return new
+def delta_quadrants(L: int) -> Iterator[np.ndarray]:
+    """Stream ``D[m', m] = d^l_{m'm}(pi/2)`` for ``m', m >= 0``, ``l < L``.
+
+    Runs ``d^{l+1} = -(2l+1)/l (m/u_m)(n/u_n) d^l - (l+1)/l (v_m/u_m)(v_n/u_n)
+    d^{l-1}``, ``u_m = sqrt((l+1)**2 - m**2)``, ``v_m = sqrt(l**2 - m**2)``, in
+    three rotating ``(L, L)`` buffers, seeding the new edge row by ``d^l_{l,n}
+    = sqrt(2l(2l-1) / ((l+n)(l+n-1))) d^{l-1}_{l-1,n-1} / 2``, ``d^l_{l,0} =
+    -sqrt((2l-1)/(2l)) d^{l-1}_{l-1,0}``.  Each ``(l+1, l+1)`` view stays valid
+    for three more degrees.  ``L > 1024`` raises ``ValueError`` before any work.
+    """
+    L = check_bandlimit(L)
+    if L > 1024:  # see the module docstring
+        raise ValueError(f"Wigner recursion supports band-limits up to 1024, got {L}")
+    bufs = [np.zeros((L, L)) for _ in range(3)]
+    for el in range(L):
+        cur, p1, p2 = bufs[el % 3], bufs[(el - 1) % 3], bufs[(el - 2) % 3]
+        k = el - 1  # degree l comes from degrees k and k - 1
+        if el < 2:
+            cur[0, 0] = 1.0 - el  # d^1_00 = cos(pi/2) = 0
+        else:  # orders equal to k have v = 0: no d^{k-1} term
+            m = np.arange(el, dtype=np.float64)
+            u = np.sqrt(el * el - m * m)
+            a, b = m / u, np.sqrt(k * k - m[:k] ** 2) / u[:k]
+            np.multiply(p1[:el, :el], np.outer(a, a * (-(2 * k + 1) / k)), out=cur[:el, :el])
+            cur[:k, :k] -= p2[:k, :k] * np.outer(b, b * ((k + 1) / k))
+        if el:
+            n = np.arange(1, el + 1, dtype=np.float64)
+            seed = 0.5 * np.sqrt(2 * el * (2 * el - 1) / ((el + n) * (el + n - 1)))
+            cur[el, 1 : el + 1] = p1[k, :el] * seed
+            cur[el, 0] = -math.sqrt((2 * el - 1) / (2.0 * el)) * p1[k, 0]
+            cur[:el, el] = cur[el, :el] * (-1.0) ** (el - np.arange(el))  # d_{nl} = +-d_{ln}
+        yield cur[: el + 1, : el + 1]
 
 
 def build_delta_table(L: int) -> DeltaTable:
-    """All ``d^l_{mn}(pi/2)`` for ``l < L`` by half-step rotation composition.
-
-    Each degree is reached from the previous one through two half-integer
-    steps, each composing one more spin one-half factor into the matrix.
-    """
-    L = check_bandlimit(L)
-    slices = [np.array([[1.0]])]
-    cur = slices[0]
-    for _ in range(1, L):
-        cur = _half_step(_half_step(cur))
-        slices.append(cur)
-    for s in slices:
-        s.flags.writeable = False
-    return DeltaTable(L, tuple(slices))
-
-
-@lru_cache(maxsize=8)
-def cached_delta_table(L: int) -> DeltaTable:
-    """Memoized :func:`build_delta_table` (tables are immutable)."""
-    return build_delta_table(L)
+    """All ``d^l_{mn}(pi/2)``, ``l < L``, in ``O(L**3)`` memory (the transforms never
+    build it): :func:`delta_quadrants` expanded by ``d^l_{m,-n} = (-1)**(l+m)
+    d^l_{mn}`` and ``d^l_{-m,n} = (-1)**(m+n) d^l_{m,-n}``."""
+    slices = []
+    for el, quad in enumerate(delta_quadrants(L)):
+        ms = np.arange(-el, el + 1)
+        half = quad[:, np.abs(ms)] * np.where(ms < 0, (-1.0) ** (el + ms[el:, None]), 1.0)
+        full = np.vstack([(-1.0) ** (ms[:el, None] + ms) * half[:0:-1, ::-1], half])
+        full.flags.writeable = False
+        slices.append(full)
+    return DeltaTable(len(slices), tuple(slices))
 
 
 @lru_cache(maxsize=4)

@@ -9,7 +9,9 @@ evaluated on a fine midpoint grid.
 The ``*_loop`` functions are the plain-loop forms of code the package
 now runs vectorised, and the ``*_branch`` functions the per-grid-kind
 forms of layout code the package now reads off one table; tests require
-the package to match both bit for bit.
+the package to match both bit for bit.  ``risbo_delta_slices`` is the full
+Delta builder the MW transforms used before they streamed the quadrant
+recursion; tests hold the stream to it within rounding.
 """
 
 from __future__ import annotations
@@ -395,3 +397,50 @@ def sample_weights_branch(grid, q: np.ndarray) -> np.ndarray:
         w[: grid.n_samples - 1] = np.repeat(q[: grid.L - 1], grid.n_phi)
         w[-1] = q[grid.L - 1] * grid.n_phi
     return w
+
+
+# Wigner d at pi/2 by Risbo's composition of spin one-half rotations, two
+# half steps per degree, over the full order range; and the MW Delta
+# contraction summed over every m' with those matrices.  Neither uses the
+# quadrant recursion or the folding the package runs.
+
+
+def _half_step(old: np.ndarray) -> np.ndarray:
+    # One spin one-half rotation composed into the table: degree j - 1/2 to
+    # degree j at beta = pi/2, where cos(beta/2) = sin(beta/2) = 1/sqrt(2).
+    n = old.shape[0]  # n = 2j, old holds 2j values per axis
+    c = 1.0 / math.sqrt(2.0)
+    k = np.arange(1, n + 1, dtype=np.float64)
+    root = np.sqrt(k)
+    rootc = np.sqrt(k[::-1])  # sqrt(2j - k) for k = 0 .. n-1
+    new = np.zeros((n + 1, n + 1))
+    new[1:, 1:] += np.outer(root, root) * old
+    new[1:, :n] -= np.outer(root, rootc) * old
+    new[:n, 1:] += np.outer(rootc, root) * old
+    new[:n, :n] += np.outer(rootc, rootc) * old
+    new *= c / n
+    return new
+
+
+def risbo_delta_slices(L: int):
+    """Yield ``d^l(pi/2)`` for ``l < L``, indexed ``[m + l, n + l]``."""
+    cur = np.array([[1.0]])
+    yield cur
+    for _ in range(1, L):
+        cur = _half_step(_half_step(cur))
+        yield cur
+
+
+def mw_delta_contraction_unfolded(g_mm: np.ndarray, L: int) -> np.ndarray:
+    """``f_lm = i**m sqrt((2l+1)/(4 pi)) sum_{m'} D_{m'm} D_{m'0} G_{mm'}``, every ``m'``."""
+    coeffs = np.zeros(L * L, dtype=np.complex128)
+    for el, d in enumerate(risbo_delta_slices(L)):
+        weighted = d * d[:, el][:, None]
+        block = g_mm[L - 1 - el : L + el, L - 1 - el : L + el]
+        marr = np.arange(-el, el + 1)
+        coeffs[el * el : (el + 1) ** 2] = (
+            np.array([1, 1j, -1, -1j])[marr % 4]
+            * math.sqrt((2 * el + 1) / (4 * math.pi))
+            * np.einsum("am,ma->m", weighted, block)
+        )
+    return coeffs

@@ -107,6 +107,35 @@ class TestNonFinitePayload:
             read_coeffs(p)
 
 
+class TestBinaryPayloadShape:
+    # header field offsets of "<8sIIIIIQ28x": value count at byte 28
+    @staticmethod
+    def _binary_signal(tmp_path):
+        g = make_grid("mw", 4)
+        p = tmp_path / "s.bin"
+        write_signal(p, SphereSignal(g, np.ones(g.n_samples, dtype=complex)), binary=True)
+        return p, bytearray(p.read_bytes())
+
+    def test_partial_value_names_path(self, tmp_path):
+        p, data = self._binary_signal(tmp_path)
+        p.write_bytes(bytes(data) + b"\x00\x00\x00")
+        with pytest.raises(FormatError, match="not whole values") as err:
+            read_signal(p)
+        assert str(p) in str(err.value)
+        assert main(["forward", "--in", str(p), "--out", str(tmp_path / "o")]) == 2
+
+    def test_odd_complex_count_names_path(self, tmp_path, capsys):
+        p, data = self._binary_signal(tmp_path)
+        count = int.from_bytes(data[28:36], "little") - 1
+        data[28:36] = count.to_bytes(8, "little")
+        p.write_bytes(bytes(data[: 64 + 8 * count]))
+        with pytest.raises(FormatError, match="not whole values") as err:
+            read_signal(p)
+        assert str(p) in str(err.value)
+        assert main(["integrate", "--in", str(p)]) == 2
+        assert str(p) in capsys.readouterr().err
+
+
 class TestCoeffFiles:
     @pytest.mark.parametrize("binary", [False, True])
     def test_roundtrip_byte_identical(self, tmp_path, rng, binary):

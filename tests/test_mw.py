@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,3 +243,39 @@ class TestInvariants:
         lhs = mw_integrate(prod)
         rhs = complex(np.vdot(g.values, f.values))  # sum f conj(g)
         assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+class TestFoldedContraction:
+    @pytest.mark.parametrize("L", [1, 2, 3, 8, 9])
+    def test_inverse_matches_direct_synthesis(self, L):
+        rng = np.random.default_rng(300 + L)
+        x = random_coeffs(L, rng)
+        assert np.abs(mw_inverse(x).values - mw_inverse_direct(x).values).max() < 1e-12
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 8, 9])
+    def test_forward_matches_unfolded_contraction(self, L):
+        # an arbitrary, not band-limited, signal: the folding must hold for
+        # any torus spectrum, not only for one with band-limited symmetry
+        rng = np.random.default_rng(310 + L)
+        g = make_grid("mw", L)
+        sig = SphereSignal(
+            g, rng.standard_normal(g.n_samples) + 1j * rng.standard_normal(g.n_samples)
+        )
+        expect = oracles.mw_delta_contraction_unfolded(mw_torus_spectrum(sig).g_mm, L)
+        assert np.abs(mw_forward(sig).values - expect).max() < 1e-12
+
+    def test_roundtrip_at_512(self):
+        rng = np.random.default_rng(512)
+        x = random_coeffs(512, rng)
+        assert np.abs(mw_forward(mw_inverse(x)).values - x.values).max() < 1e-9
+
+    def test_roundtrip_memory_at_256(self):
+        x = random_coeffs(256, np.random.default_rng(256))
+        tracemalloc.start()
+        try:
+            back = mw_forward(mw_inverse(x))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.abs(back.values - x.values).max() < 1e-9
+        assert peak < 64e6

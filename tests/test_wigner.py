@@ -9,6 +9,7 @@ from equisphere.mw import mw_sample_weights
 from equisphere.samples import flat_index, make_grid, node_angles, theta_nodes
 from equisphere.wigner import (
     build_delta_table,
+    delta_quadrants,
     legendre,
     legendre_degrees,
     norm_legendre_tables,
@@ -185,6 +186,47 @@ class TestDeltaTable:
             tab.slice(4)
         with pytest.raises(ValueError):
             tab.value(2, 3, 0)
+
+
+class TestDeltaQuadrants:
+    def test_shapes_and_first_degrees(self):
+        quads = [q.copy() for q in delta_quadrants(3)]
+        assert [q.shape for q in quads] == [(1, 1), (2, 2), (3, 3)]
+        assert quads[0][0, 0] == 1.0
+        r = 1 / math.sqrt(2)
+        assert np.abs(quads[1] - [[0.0, r], [-r, 0.5]]).max() < 1e-15
+
+    def test_exhaustive_against_exact(self):
+        for el, quad in enumerate(delta_quadrants(13)):
+            for m in range(el + 1):
+                for n in range(el + 1):
+                    assert quad[m, n] == pytest.approx(
+                        oracles.delta_exact(el, m, n), abs=5e-14
+                    )
+
+    def test_matches_risbo_composition(self):
+        L = 256
+        worst = 0.0
+        for el, (quad, full) in enumerate(
+            zip(delta_quadrants(L), oracles.risbo_delta_slices(L))
+        ):
+            worst = max(worst, np.abs(quad - full[el:, el:]).max())
+        assert el == L - 1
+        assert worst < 1e-13
+
+    def test_corner_seed_is_exact(self):
+        for el, quad in enumerate(delta_quadrants(40)):
+            assert quad[el, el] == 2.0**-el
+
+    def test_supported_range(self):
+        # values the size of the corner seed 2**-l lose at most one bit through l = 1023 only
+        assert next(delta_quadrants(1024))[0, 0] == 1.0
+        with pytest.raises(ValueError, match="up to 1024"):
+            next(delta_quadrants(1025))
+        with pytest.raises(ValueError, match="up to 1024"):
+            build_delta_table(4096)
+        with pytest.raises(ValueError):
+            next(delta_quadrants(0))
 
 
 class TestYlmMatrix:
