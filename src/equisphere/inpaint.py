@@ -10,16 +10,18 @@ where ``Psi`` is the inverse spherical harmonic transform of the signal's
 grid.  Both are handled by one first-order primal-dual scheme: the TV term
 through its dual (a per-site disc projection) and the residual ball by
 Euclidean projection, with step sizes from a power-iteration estimate of
-the stacked operator norm.  The whole pipeline is real-valued; harmonic
-solves parameterize the coefficients by ``L**2`` real degrees of freedom
-that enforce the conjugate symmetry ``f_{l,-m} = (-1)**m conj(f_lm)``.
+the stacked operator norm.  The whole pipeline is real-valued.  Harmonic
+solves iterate in sample space inside the band-limited subspace of real
+signals, projected onto by one cached orthonormal basis ``Q`` per grid;
+the reported coefficients are the grid's forward transform of the result.
 
 The solver records, per iteration, the objective of the best feasible
 iterate found so far (``+inf`` until one exists) and returns that iterate,
 so the recorded objective sequence is non-increasing once feasibility is
 reached.  Noiseless problems (``eps = 0``) are polished to exact
-feasibility: mask measurements by direct reinsertion, composed harmonic
-operators by a final least-squares correction.
+feasibility: spatial ones by reinserting the measurements, harmonic ones
+by a least-squares correction in the span of ``Q`` through the SVD of its
+masked rows.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ from .samples import (
     SphereSignal,
     conjugate_pairs,
 )
-from .transforms import inverse
+from .transforms import forward, inverse
 from .tv import _row_scales, tv_adjoint_raw, tv_apply_raw
-from .wigner import cached_ylm_matrix, ylm_points
+from .wigner import ylm_matrix, ylm_points
 
 __all__ = [
     "SolveDomain",
@@ -60,8 +62,6 @@ __all__ = [
     "snr",
     "run_experiment",
     "real_synthesis_matrix",
-    "real_params_to_coeffs",
-    "coeffs_to_real_params",
 ]
 
 _FEAS_RTOL = 1e-3  # relative slack on the residual constraint
@@ -279,7 +279,6 @@ def make_problem(
     return problem, ProblemRecord(x_true, mask, noise, seed)
 
 
-@lru_cache(maxsize=4)
 def real_synthesis_matrix(grid: GridDescriptor) -> np.ndarray:
     """Real synthesis operator mapping ``L**2`` real parameters to samples.
 
@@ -287,38 +286,13 @@ def real_synthesis_matrix(grid: GridDescriptor) -> np.ndarray:
     ``Re f_lm`` / ``Im f_lm`` at ``flat_index(l, +-m)``; columns follow from
     ``x = sum_l a_{l0} Y_l0 + sum_{m>0} 2 Re((a + i b) Y_lm)``.
     """
-    ymat = cached_ylm_matrix(grid)
+    ymat = ylm_matrix(grid)
     zero, pos, neg, _ = conjugate_pairs(grid.L)
     out = np.empty((grid.n_samples, grid.L * grid.L))
     out[:, zero] = ymat[:, zero].real
     out[:, pos] = 2.0 * ymat[:, pos].real
     out[:, neg] = -2.0 * ymat[:, pos].imag
-    out.flags.writeable = False
     return out
-
-
-def real_params_to_coeffs(L: int, z: np.ndarray) -> HarmonicCoeffs:
-    """Complex coefficients (with conjugate symmetry) from real parameters."""
-    zero, pos, neg, sign = conjugate_pairs(L)
-    vals = np.zeros(L * L, dtype=np.complex128)
-    vals[zero] = z[zero]
-    c = z[pos] + 1j * z[neg]
-    vals[pos] = c
-    vals[neg] = sign * np.conj(c)
-    return HarmonicCoeffs(L, vals)
-
-
-def coeffs_to_real_params(coeffs: HarmonicCoeffs) -> np.ndarray:
-    """Real parameter vector of the conjugate-symmetric part of ``coeffs``."""
-    zero, pos, neg, sign = conjugate_pairs(coeffs.L)
-    v = coeffs.values
-    z = np.empty(coeffs.L * coeffs.L)
-    z[zero] = v[zero].real
-    # symmetric part only; exact for genuinely real signals
-    c = 0.5 * (v[pos] + sign * np.conj(v[neg]))
-    z[pos] = c.real
-    z[neg] = c.imag
-    return z
 
 
 def snr(x_true: SphereSignal, x_rec: SphereSignal) -> float:
@@ -356,12 +330,11 @@ def _power_iteration(op, n: int, iters: int = 50, tol: float = 1e-6) -> float:
 
 
 @lru_cache(maxsize=4)
-def _subspace_qr(grid: GridDescriptor) -> tuple[np.ndarray, np.ndarray]:
+def _subspace_basis(grid: GridDescriptor) -> np.ndarray:
     # Orthonormal basis of the band-limited subspace in sample space.
-    q, r = np.linalg.qr(real_synthesis_matrix(grid), mode="reduced")
+    q = np.linalg.qr(real_synthesis_matrix(grid))[0]
     q.flags.writeable = False
-    r.flags.writeable = False
-    return q, r
+    return q
 
 
 def _solve(problem: InpaintProblem, max_iter: int, tol: float) -> SolveResult:
@@ -373,9 +346,9 @@ def _solve(problem: InpaintProblem, max_iter: int, tol: float) -> SolveResult:
 
     # Both domains iterate over sample space; the harmonic problem adds the
     # band-limited subspace as a primal constraint whose prox is the
-    # orthogonal projection Q Q^T built from a per-grid QR factorization.
+    # orthogonal projection Q Q^T onto the grid's cached basis.
     if harmonic:
-        q_basis, r_factor = _subspace_qr(grid)
+        q_basis = _subspace_basis(grid)
         prox_primal = lambda z: q_basis @ (q_basis.T @ z)
         x = prox_primal(problem.op.adjoint(y))
     else:
@@ -397,26 +370,21 @@ def _solve(problem: InpaintProblem, max_iter: int, tol: float) -> SolveResult:
     exact_fit = eps == 0.0
     # With eps = 0 the iterates can only approach the constraint, so
     # candidates are corrected onto it: masked entries are reinserted
-    # directly; in the harmonic domain the correction stays band-limited
-    # through the pseudoinverse of Psi restricted to the mask, leaving
-    # machine-level residue that is accepted explicitly.
+    # directly; in the harmonic domain the correction is the least-squares
+    # solution inside span(Q), applied through the SVD factors of Q's masked
+    # rows (negligible singular values dropped), leaving machine-level
+    # residue that is accepted explicitly.
     feas_accept = feas_bound if not exact_fit else 1e-8 * max(1.0, float(np.linalg.norm(y)))
-    fit_correct = None
-    if exact_fit:
-        if harmonic:
-            psi = real_synthesis_matrix(grid)
-            a_mat = psi[mask]
-            if mask.size <= a_mat.shape[1]:
-                gram_inv = np.linalg.inv(a_mat @ a_mat.T)
-                fit_correct = lambda r: psi @ (a_mat.T @ (gram_inv @ r))
-            else:
-                gram_inv = np.linalg.inv(a_mat.T @ a_mat)
-                fit_correct = lambda r: psi @ (gram_inv @ (a_mat.T @ r))
-        else:
-            def fit_correct(r):
-                out = np.zeros(grid.n_samples)
-                out[mask] = r
-                return out
+    if exact_fit and harmonic:
+        u, s, vt = np.linalg.svd(q_basis[mask], full_matrices=False)
+        keep = s > s[0] * max(mask.size, q_basis.shape[1]) * np.finfo(float).eps
+        u, s, vt = u[:, keep], s[keep], vt[keep]
+        fit_correct = lambda r: q_basis @ (vt.T @ ((u.T @ r) / s))
+    elif exact_fit:
+        def fit_correct(r):
+            out = np.zeros(grid.n_samples)
+            out[mask] = r
+            return out
 
     def candidate(z, r, d):
         if d <= feas_bound:
@@ -498,14 +466,11 @@ def _solve(problem: InpaintProblem, max_iter: int, tol: float) -> SolveResult:
         converged = False
 
     final_res = float(np.linalg.norm(y - best_x[mask]))
-    if harmonic:
-        z = np.linalg.solve(r_factor, q_basis.T @ best_x)
-        x_hat = real_params_to_coeffs(grid.L, z)
-    else:
-        x_hat = None
+    x_star = SphereSignal(grid, best_x.astype(np.complex128))
     result = SolveResult(
-        x_star=SphereSignal(grid, best_x.astype(np.complex128)),
-        x_hat_star=x_hat,
+        x_star=x_star,
+        # best_x lies in the band-limited subspace, where forward is exact
+        x_hat_star=forward(x_star) if harmonic else None,
         iterations=iterations,
         final_objective=best_obj,
         final_residual=final_res,
@@ -531,8 +496,11 @@ def solve_harmonic(problem: InpaintProblem, max_iter: int = 5000, tol: float = 1
     """Solve the TV inpainting problem over harmonic coefficients.
 
     Iterates over sample space constrained to the band-limited subspace,
-    which is the same convex program as recovering the coefficients
-    directly; the reported coefficients come from the subspace basis.
+    projected onto by one cached orthonormal basis per grid, which is the
+    same convex program as recovering the coefficients directly.  Noiseless
+    problems are polished onto the constraint through the SVD of the basis'
+    masked rows.  The reported coefficients are the grid's forward
+    transform of the recovered, band-limited signal.
     """
     if problem.domain != SolveDomain.HARMONIC:
         raise ValueError(f"problem domain is {problem.domain!r}, expected 'harmonic'")
@@ -560,12 +528,18 @@ class ExperimentConfig:
     def validate(self):
         if self.L < 2:
             raise ValueError("experiment band-limit must be at least 2")
-        if not self.ratios or any(r <= 0 for r in self.ratios):
-            raise ValueError("ratios must be a non-empty list of positive numbers")
+        if not self.ratios or not all(0 < r < math.inf for r in self.ratios):
+            raise ValueError("ratios must be a non-empty list of finite positive numbers")
         if self.trials < 1:
             raise ValueError("trial count must be at least 1")
-        if self.sigma_rel < 0:
-            raise ValueError("relative noise level must be non-negative")
+        if not 0 <= self.sigma_rel < math.inf:
+            raise ValueError("relative noise level must be finite and non-negative")
+        if self.smoothing is not None and not math.isfinite(self.smoothing):
+            raise ValueError("smoothing scale must be finite")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("solver tolerance must be finite and positive")
+        if self.max_iter < 1:
+            raise ValueError("iteration budget must be at least 1")
         for d in self.domains:
             if d not in SolveDomain.ALL:
                 raise ValueError(f"unknown solve domain {d!r}")

@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -46,7 +45,6 @@ __all__ = [
     "ylm_points",
     "ylm_matrix",
     "inverse_direct",
-    "cached_ylm_matrix",
 ]
 
 _INV_SQRT_4PI = 0.5 / math.sqrt(math.pi)
@@ -293,11 +291,3 @@ def build_delta_table(L: int) -> DeltaTable:
         full.flags.writeable = False
         slices.append(full)
     return DeltaTable(len(slices), tuple(slices))
-
-
-@lru_cache(maxsize=4)
-def cached_ylm_matrix(grid: GridDescriptor) -> np.ndarray:
-    """Memoized read-only :func:`ylm_matrix` (grids hash by kind and L)."""
-    mat = ylm_matrix(grid)
-    mat.flags.writeable = False
-    return mat

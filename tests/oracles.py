@@ -17,6 +17,7 @@ recursion; tests hold the stream to it within rounding.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -52,8 +53,24 @@ def wigner_d_exact(el: int, m: int, n: int, beta: float) -> float:
 
 
 def delta_exact(el: int, m: int, n: int) -> float:
-    """Exact ``d^l_{mn}(pi/2)``."""
-    return wigner_d_exact(el, m, n, math.pi / 2)
+    """Exact ``d^l_{mn}(pi/2)``, at any degree.
+
+    At ``beta = pi/2``, ``cos(beta/2) = sin(beta/2) = 2**-0.5``, so every term
+    of the factorial sum carries the same factor ``2**-l``.  The sum is taken
+    exactly as a ``Fraction``; only the square root of the factorial prefactor
+    and the power of two are evaluated, in mpmath.
+    """
+    f = math.factorial
+    total = sum(
+        Fraction(
+            (-1) ** ((m - n + k) % 2),
+            f(el + n - k) * f(k) * f(m - n + k) * f(el - m - k),
+        )
+        for k in range(max(0, n - m), min(el + n, el - m) + 1)
+    )
+    pref = f(el + m) * f(el - m) * f(el + n) * f(el - n)
+    value = mp.sqrt(pref) * mp.mpf(total.numerator) / total.denominator
+    return float(value * mp.mpf(2) ** -el)
 
 
 def legendre_exact(el: int, m: int, x: float) -> float:
@@ -248,28 +265,6 @@ def random_coeffs_loop(L: int, rng: np.random.Generator, real_signal: bool = Fal
             for m in range(1, el + 1):
                 vals[_fi(el, -m)] = (-1) ** m * np.conj(vals[_fi(el, m)])
     return vals
-
-
-def real_params_to_coeffs_loop(L: int, z: np.ndarray) -> np.ndarray:
-    vals = np.zeros(L * L, dtype=np.complex128)
-    for el in range(L):
-        vals[_fi(el, 0)] = z[_fi(el, 0)]
-        for m in range(1, el + 1):
-            c = z[_fi(el, m)] + 1j * z[_fi(el, -m)]
-            vals[_fi(el, m)] = c
-            vals[_fi(el, -m)] = (-1) ** m * np.conj(c)
-    return vals
-
-
-def coeffs_to_real_params_loop(L: int, values: np.ndarray) -> np.ndarray:
-    z = np.empty(L * L)
-    for el in range(L):
-        z[_fi(el, 0)] = values[_fi(el, 0)].real
-        for m in range(1, el + 1):
-            c = 0.5 * (values[_fi(el, m)] + (-1) ** m * np.conj(values[_fi(el, -m)]))
-            z[_fi(el, m)] = c.real
-            z[_fi(el, -m)] = c.imag
-    return z
 
 
 def real_synthesis_matrix_loop(L: int, ymat: np.ndarray) -> np.ndarray:

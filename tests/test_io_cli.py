@@ -339,6 +339,14 @@ class TestCli:
         cfg.write_text("ratios = \n")
         assert main(["experiment", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("line", ["tol = nan", "tol = -1", "max_iter = 0"])
+    def test_experiment_bad_solver_setting_exit_2(self, tmp_path, line):
+        # rejected while the config is read, before any solve runs
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"L = 8\nkinds = mw\ndomains = spatial\ntrials = 1\n{line}\n")
+        assert main(["experiment", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
+        assert not (tmp_path / "r.csv").exists()
+
     def test_experiment_empty_ratio_list_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("L = 8\nratios =\n")

@@ -213,6 +213,10 @@ class TestDeltaQuadrants:
             worst = max(worst, np.abs(quad - full[el:, el:]).max())
         assert el == L - 1
         assert worst < 1e-13
+        # the last degree's quadrant is still intact: spot-check it exactly
+        spots = ((0, 0), (3, 100), (100, 3), (0, 255), (255, 0), (128, 200), (254, 1), (255, 255))
+        for m, n in spots:
+            assert quad[m, n] == pytest.approx(oracles.delta_exact(el, m, n), abs=1e-13)
 
     def test_corner_seed_is_exact(self):
         for el, quad in enumerate(delta_quadrants(40)):
