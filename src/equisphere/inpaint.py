@@ -12,16 +12,21 @@ through its dual (a per-site disc projection) and the residual ball by
 Euclidean projection, with step sizes from a power-iteration estimate of
 the stacked operator norm.  The whole pipeline is real-valued.  Harmonic
 solves iterate in sample space inside the band-limited subspace of real
-signals, projected onto by one cached orthonormal basis ``Q`` per grid;
-the reported coefficients are the grid's forward transform of the result.
+signals.  Both grids sample each ring at ``n_phi >= 2L - 1`` equispaced
+longitudes, so a real FFT along the rings separates the orders ``m`` and
+the projection onto the subspace splits into one small projection per
+order, onto a cached QR basis of that order's Legendre profiles; no
+``N x L**2`` matrix is formed.  The reported coefficients are the grid's
+forward transform of the result.
 
 The solver records, per iteration, the objective of the best feasible
 iterate found so far (``+inf`` until one exists) and returns that iterate,
 so the recorded objective sequence is non-increasing once feasibility is
 reached.  Noiseless problems (``eps = 0``) are polished to exact
 feasibility: spatial ones by reinserting the measurements, harmonic ones
-by a least-squares correction in the span of ``Q`` through the SVD of its
-masked rows.
+by a least-squares correction inside the subspace, through the SVD of the
+``M x L**2`` masked rows of its per-order orthonormal basis, lifted back
+through the per-order synthesis.
 """
 
 from __future__ import annotations
@@ -39,11 +44,11 @@ from .samples import (
     GridMismatchError,
     HarmonicCoeffs,
     SphereSignal,
-    conjugate_pairs,
+    theta_nodes,
 )
 from .transforms import forward, inverse
 from .tv import _row_scales, tv_adjoint_raw, tv_apply_raw
-from .wigner import ylm_matrix, ylm_points
+from .wigner import norm_legendre_tables, ylm_points
 
 __all__ = [
     "SolveDomain",
@@ -61,7 +66,6 @@ __all__ = [
     "solve_harmonic",
     "snr",
     "run_experiment",
-    "real_synthesis_matrix",
 ]
 
 _FEAS_RTOL = 1e-3  # relative slack on the residual constraint
@@ -254,7 +258,8 @@ def make_problem(
         x_true: Real-valued ground truth on its grid.
         ratio: Measurement ratio ``M / L**2``; must satisfy
             ``0 < ratio <= N / L**2``.
-        sigma_rel: Noise level relative to the signal's peak magnitude.
+        sigma_rel: Noise level relative to the signal's peak magnitude;
+            finite and non-negative.
         domain: ``"spatial"`` or ``"harmonic"``.
         seed: Anything accepted by ``numpy.random.default_rng``.
 
@@ -263,8 +268,10 @@ def make_problem(
     """
     grid = x_true.grid
     L, n = grid.L, grid.n_samples
-    if ratio <= 0:
-        raise ValueError(f"measurement ratio must be positive, got {ratio}")
+    if not 0 < ratio < math.inf:
+        raise ValueError(f"ratio must be finite and positive, got {ratio}")
+    if not 0 <= sigma_rel < math.inf:
+        raise ValueError(f"sigma_rel must be finite and non-negative, got {sigma_rel}")
     m = int(round(ratio * L * L))
     if m < 1 or m > n:
         raise ValueError(f"measurement count {m} outside [1, {n}]")
@@ -277,22 +284,6 @@ def make_problem(
     eps = sigma * math.sqrt(m + 2.0 * math.sqrt(2.0 * m))
     problem = InpaintProblem(y, MeasurementOp(mask, n), sigma, eps, domain, grid)
     return problem, ProblemRecord(x_true, mask, noise, seed)
-
-
-def real_synthesis_matrix(grid: GridDescriptor) -> np.ndarray:
-    """Real synthesis operator mapping ``L**2`` real parameters to samples.
-
-    Parameters are ``Re f_{l0}`` at ``flat_index(l, 0)`` and, for ``m > 0``,
-    ``Re f_lm`` / ``Im f_lm`` at ``flat_index(l, +-m)``; columns follow from
-    ``x = sum_l a_{l0} Y_l0 + sum_{m>0} 2 Re((a + i b) Y_lm)``.
-    """
-    ymat = ylm_matrix(grid)
-    zero, pos, neg, _ = conjugate_pairs(grid.L)
-    out = np.empty((grid.n_samples, grid.L * grid.L))
-    out[:, zero] = ymat[:, zero].real
-    out[:, pos] = 2.0 * ymat[:, pos].real
-    out[:, neg] = -2.0 * ymat[:, pos].imag
-    return out
 
 
 def snr(x_true: SphereSignal, x_rec: SphereSignal) -> float:
@@ -329,12 +320,98 @@ def _power_iteration(op, n: int, iters: int = 50, tol: float = 1e-6) -> float:
     return math.sqrt(lam)
 
 
+@dataclass(frozen=True)
+class _OrderBases:
+    """Orthonormal basis of a grid's band-limited real subspace, one order at a time.
+
+    In orthonormal ring coordinates (``rfft / sqrt(n_phi)`` of each non-pole
+    ring, times ``sqrt(2)`` for ``m > 0``; the pole sample joins ``m = 0``,
+    since ``Y_lm`` vanishes there for ``m != 0``) the subspace is a direct
+    sum over orders ``m < L``; orders ``m >= L`` (DH's Nyquist) are zero.
+    ``q[m]`` is an orthonormal basis of order ``m``'s block, zero-padded to
+    ``L`` columns; its last row is the pole.  The ``L**2`` basis vectors are
+    the real and (for ``m > 0``) imaginary parts of each column of ``q[m]``.
+    """
+
+    grid: GridDescriptor
+    q: np.ndarray  # (L, R + 1, L)
+
+    def _to_orders(self, x: np.ndarray) -> np.ndarray:
+        # stored samples -> orthonormal per-order coordinates, shape (L, R + 1, 2)
+        g, L = self.grid, self.grid.L
+        k = g.pole_row * g.n_phi
+        rings = np.concatenate((x[:k], x[k + 1 :])).reshape(-1, g.n_phi)
+        spec = np.fft.rfft(rings, axis=1, norm="ortho")[:, :L]
+        spec[:, 1:] *= math.sqrt(2.0)
+        c = np.zeros((L, rings.shape[0] + 1), dtype=np.complex128)
+        c[:, :-1] = spec.T
+        c[0, -1] = x[k]
+        return c.view(np.float64).reshape(L, -1, 2)
+
+    def _from_orders(self, c: np.ndarray) -> np.ndarray:
+        # the adjoint of _to_orders, an isometry, and its inverse on the
+        # coordinates _to_orders produces
+        g, L = self.grid, self.grid.L
+        k = g.pole_row * g.n_phi
+        c = c.view(np.complex128)[..., 0]
+        spec = np.zeros((c.shape[1] - 1, g.n_phi // 2 + 1), dtype=np.complex128)
+        spec[:, :L] = c[:, :-1].T
+        spec[:, 1:L] *= math.sqrt(0.5)
+        rings = np.fft.irfft(spec, n=g.n_phi, axis=1, norm="ortho").reshape(-1)
+        return np.concatenate((rings[:k], [c[0, -1].real], rings[k:]))
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """Orthogonal projection of stored samples onto the subspace."""
+        c = self._to_orders(x)
+        return self._from_orders(self.q @ (self.q.transpose(0, 2, 1) @ c))
+
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # (order, column, real/imag part) of each of the L**2 basis vectors
+        L = self.grid.L
+        m, j, part = np.indices((L, L, 2)).reshape(3, -1)
+        keep = (j < L - m) & ((m > 0) | (part == 0))
+        return m[keep], j[keep], part[keep]
+
+    def lift(self, coeffs: np.ndarray) -> np.ndarray:
+        """Samples of ``sum_j coeffs[j] b_j`` over the ``L**2`` basis vectors."""
+        L = self.grid.L
+        c = np.zeros((L, L, 2))
+        c[self._columns()] = coeffs
+        return self._from_orders(self.q @ c)
+
+    def rows(self, idx: np.ndarray) -> np.ndarray:
+        """The basis vectors at stored samples ``idx``, as an ``(len(idx), L**2)`` matrix."""
+        g = self.grid
+        n, k = g.n_phi, g.pole_row * g.n_phi
+        idx = np.asarray(idx)
+        j = idx - (idx > k)  # position among the non-pole ring samples
+        ring = np.where(idx == k, self.q.shape[1] - 1, j // n)
+        phase = 2.0 * np.pi * (j % n) / n
+        m, col, part = self._columns()
+        arg = phase[:, None] * m
+        wave = np.where(part == 0, np.cos(arg), -np.sin(arg))
+        wave *= np.where(m == 0, 1.0, math.sqrt(2.0)) / math.sqrt(n)
+        wave[idx == k] = m == 0  # the pole sample is its own m = 0 coordinate
+        return self.q[m, ring[:, None], col] * wave
+
+
 @lru_cache(maxsize=4)
-def _subspace_basis(grid: GridDescriptor) -> np.ndarray:
-    # Orthonormal basis of the band-limited subspace in sample space.
-    q = np.linalg.qr(real_synthesis_matrix(grid))[0]
+def _subspace_basis(grid: GridDescriptor) -> _OrderBases:
+    # Per-order QR bases of the Legendre profiles at the non-pole rings (and,
+    # for m = 0, the pole), ring rows of m = 0 scaled by sqrt(n_phi) to match
+    # the coordinates of _OrderBases._to_orders.
+    L, pole = grid.L, grid.pole_row
+    theta = theta_nodes(grid)
+    x = np.cos(np.concatenate((np.delete(theta, pole), theta[pole : pole + 1])))
+    tables = norm_legendre_tables(L, x)
+    q = np.zeros((L, x.size, L))
+    a0 = tables[0].T.copy()
+    a0[:-1] *= math.sqrt(grid.n_phi)
+    q[0] = np.linalg.qr(a0)[0]
+    for m in range(1, L):
+        q[m, :-1, : L - m] = np.linalg.qr(tables[m][:, :-1].T)[0]
     q.flags.writeable = False
-    return q
+    return _OrderBases(grid, q)
 
 
 def _solve(problem: InpaintProblem, max_iter: int, tol: float) -> SolveResult:
@@ -346,10 +423,10 @@ def _solve(problem: InpaintProblem, max_iter: int, tol: float) -> SolveResult:
 
     # Both domains iterate over sample space; the harmonic problem adds the
     # band-limited subspace as a primal constraint whose prox is the
-    # orthogonal projection Q Q^T onto the grid's cached basis.
+    # orthogonal projection onto it, one order at a time.
     if harmonic:
-        q_basis = _subspace_basis(grid)
-        prox_primal = lambda z: q_basis @ (q_basis.T @ z)
+        basis = _subspace_basis(grid)
+        prox_primal = basis.project
         x = prox_primal(problem.op.adjoint(y))
     else:
         prox_primal = lambda z: z
@@ -371,15 +448,16 @@ def _solve(problem: InpaintProblem, max_iter: int, tol: float) -> SolveResult:
     # With eps = 0 the iterates can only approach the constraint, so
     # candidates are corrected onto it: masked entries are reinserted
     # directly; in the harmonic domain the correction is the least-squares
-    # solution inside span(Q), applied through the SVD factors of Q's masked
-    # rows (negligible singular values dropped), leaving machine-level
-    # residue that is accepted explicitly.
+    # solution inside the subspace, applied through the SVD factors of the
+    # basis' masked rows (negligible singular values dropped) and lifted back
+    # through the per-order synthesis, leaving machine-level residue that is
+    # accepted explicitly.
     feas_accept = feas_bound if not exact_fit else 1e-8 * max(1.0, float(np.linalg.norm(y)))
     if exact_fit and harmonic:
-        u, s, vt = np.linalg.svd(q_basis[mask], full_matrices=False)
-        keep = s > s[0] * max(mask.size, q_basis.shape[1]) * np.finfo(float).eps
+        u, s, vt = np.linalg.svd(basis.rows(mask), full_matrices=False)
+        keep = s > s[0] * max(mask.size, grid.L * grid.L) * np.finfo(float).eps
         u, s, vt = u[:, keep], s[keep], vt[keep]
-        fit_correct = lambda r: q_basis @ (vt.T @ ((u.T @ r) / s))
+        fit_correct = lambda r: basis.lift(vt.T @ ((u.T @ r) / s))
     elif exact_fit:
         def fit_correct(r):
             out = np.zeros(grid.n_samples)
@@ -496,11 +574,15 @@ def solve_harmonic(problem: InpaintProblem, max_iter: int = 5000, tol: float = 1
     """Solve the TV inpainting problem over harmonic coefficients.
 
     Iterates over sample space constrained to the band-limited subspace,
-    projected onto by one cached orthonormal basis per grid, which is the
-    same convex program as recovering the coefficients directly.  Noiseless
-    problems are polished onto the constraint through the SVD of the basis'
-    masked rows.  The reported coefficients are the grid's forward
-    transform of the recovered, band-limited signal.
+    which is the same convex program as recovering the coefficients
+    directly.  The projection onto the subspace is a real FFT along the
+    rings, one small orthogonal projection per order ``m`` onto a cached QR
+    basis of its Legendre profiles (the pole sample joins ``m = 0``), and
+    the inverse FFT.  Noiseless problems are polished onto the constraint
+    through the SVD of the ``M x L**2`` masked rows of that orthonormal
+    basis, the correction lifted back through the per-order synthesis.  The
+    reported coefficients are the grid's forward transform of the
+    recovered, band-limited signal.
     """
     if problem.domain != SolveDomain.HARMONIC:
         raise ValueError(f"problem domain is {problem.domain!r}, expected 'harmonic'")

@@ -212,7 +212,7 @@ def ylm_matrix(grid: GridDescriptor) -> np.ndarray:
     Multiplying a flat coefficient vector by this matrix evaluates the
     band-limited expansion at every stored sample, which is the inverse
     transform written as a single dense operator.  Intended for reference
-    paths and for the inpainting solver at desk-scale band-limits.
+    paths.
     """
     th, ph = node_angles(grid)
     return ylm_points(grid.L, np.cos(th), ph)

@@ -12,6 +12,8 @@ forms of layout code the package now reads off one table; tests require
 the package to match both bit for bit.  ``risbo_delta_slices`` is the full
 Delta builder the MW transforms used before they streamed the quadrant
 recursion; tests hold the stream to it within rounding.
+``real_synthesis_matrix`` is the dense synthesis operator the harmonic
+solver projected with before it worked one order at a time.
 """
 
 from __future__ import annotations
@@ -276,6 +278,26 @@ def real_synthesis_matrix_loop(L: int, ymat: np.ndarray) -> np.ndarray:
             col = ymat[:, _fi(el, m)]
             out[:, _fi(el, m)] = 2.0 * col.real
             out[:, _fi(el, -m)] = -2.0 * col.imag
+    return out
+
+
+def real_synthesis_matrix(grid) -> np.ndarray:
+    """Dense real synthesis operator mapping ``L**2`` real parameters to samples.
+
+    Parameters are ``Re f_{l0}`` at ``flat_index(l, 0)`` and, for ``m > 0``,
+    ``Re f_lm`` / ``Im f_lm`` at ``flat_index(l, +-m)``; columns follow from
+    ``x = sum_l a_{l0} Y_l0 + sum_{m>0} 2 Re((a + i b) Y_lm)``.  Its QR basis
+    ``Q`` gives the dense reference ``Q Q^T`` of the band-limit projector.
+    """
+    from equisphere.samples import conjugate_pairs
+    from equisphere.wigner import ylm_matrix
+
+    ymat = ylm_matrix(grid)
+    zero, pos, neg, _ = conjugate_pairs(grid.L)
+    out = np.empty((grid.n_samples, grid.L * grid.L))
+    out[:, zero] = ymat[:, zero].real
+    out[:, pos] = 2.0 * ymat[:, pos].real
+    out[:, neg] = -2.0 * ymat[:, pos].imag
     return out
 
 

@@ -12,7 +12,6 @@ from equisphere.inpaint import (
     _subspace_basis,
     make_cap_signal,
     make_problem,
-    real_synthesis_matrix,
     run_experiment,
     snr,
     solve_harmonic,
@@ -145,6 +144,22 @@ class TestMakeProblem:
         with pytest.raises(ValueError):
             make_problem(x_true, 100.0, 0.01, "spatial", 1)
 
+    @pytest.mark.parametrize(
+        "name, ratio, sigma_rel",
+        [
+            ("ratio", math.inf, 0.01),
+            ("ratio", math.nan, 0.01),
+            ("ratio", -0.5, 0.01),
+            ("sigma_rel", 0.5, -1.0),
+            ("sigma_rel", 0.5, math.nan),
+            ("sigma_rel", 0.5, math.inf),
+        ],
+    )
+    def test_rejects_bad_ratio_or_noise_level(self, name, ratio, sigma_rel):
+        x_true, _ = _real_cap_signal(L=8)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            make_problem(x_true, ratio, sigma_rel, "spatial", 1)
+
     def test_rejects_complex_signal(self):
         g = make_grid("mw", 8)
         vals = np.zeros(g.n_samples, dtype=complex)
@@ -166,7 +181,7 @@ class TestRealParameterization:
         z[zero] = coeffs.values[zero].real
         z[pos] = coeffs.values[pos].real
         z[neg] = coeffs.values[pos].imag
-        via_real = real_synthesis_matrix(g) @ z
+        via_real = oracles.real_synthesis_matrix(g) @ z
         assert np.abs(direct - via_real).max() < 1e-11
 
 
@@ -182,7 +197,56 @@ class TestPackingMatchesLoops:
     def test_real_synthesis_matrix(self, kind):
         g = make_grid(kind, 6)
         expect = oracles.real_synthesis_matrix_loop(6, ylm_matrix(g))
-        assert np.array_equal(real_synthesis_matrix(g), expect)
+        assert np.array_equal(oracles.real_synthesis_matrix(g), expect)
+
+
+class TestBandLimitProjector:
+    """The per-order projector against the dense ``Q Q^T`` of the synthesis operator."""
+
+    @pytest.mark.parametrize("kind", ["dh", "mw"])
+    @pytest.mark.parametrize("L", range(1, 17))
+    def test_matches_dense_reference(self, kind, L):
+        g = make_grid(kind, L)
+        q = np.linalg.qr(oracles.real_synthesis_matrix(g))[0]
+        basis = _subspace_basis(g)
+        eye = np.eye(g.n_samples)
+        got = np.stack([basis.project(e) for e in eye], axis=1)
+        ref = q @ q.T
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("kind", ["dh", "mw"])
+    @pytest.mark.parametrize("L", [1, 2, 9])
+    def test_idempotent_and_self_adjoint(self, kind, L):
+        g = make_grid(kind, L)
+        project = _subspace_basis(g).project
+        rng = np.random.default_rng(L)
+        a, b = rng.standard_normal((2, g.n_samples))
+        pa, pb = project(a), project(b)
+        assert np.linalg.norm(project(pa) - pa) <= 1e-13 * np.linalg.norm(a)
+        assert np.dot(pa, b) == pytest.approx(np.dot(a, pb), rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize("kind", ["dh", "mw"])
+    @pytest.mark.parametrize("L", [1, 2, 9, 16])
+    def test_fixes_band_limited_signals(self, kind, L):
+        coeffs = random_coeffs(L, np.random.default_rng(L), real_signal=True)
+        x = inverse(kind, coeffs, L).values.real
+        got = _subspace_basis(make_grid(kind, L)).project(x)
+        assert np.linalg.norm(got - x) <= 1e-13 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("kind", ["dh", "mw"])
+    @pytest.mark.parametrize("L", [1, 2, 9, 16])
+    def test_rows_are_orthonormal_and_match_lift(self, kind, L):
+        g = make_grid(kind, L)
+        basis = _subspace_basis(g)
+        rows = basis.rows(np.arange(g.n_samples))
+        assert rows.shape == (g.n_samples, L * L)
+        assert np.abs(rows.T @ rows - np.eye(L * L)).max() <= 1e-13
+        rng = np.random.default_rng(L)
+        pole = g.pole_row * g.n_phi
+        mask = np.union1d(rng.choice(g.n_samples, (g.n_samples + 1) // 2, replace=False), [pole])
+        c = rng.standard_normal(L * L)
+        lifted = basis.lift(c)
+        assert np.abs(basis.rows(mask) @ c - lifted[mask]).max() <= 1e-13 * np.abs(c).sum()
 
 
 class TestSnr:
@@ -240,7 +304,7 @@ class TestSolvers:
 
     def test_retained_memory_is_one_basis_per_grid(self):
         # after a DH and an MW harmonic solve at L = 32 only their two
-        # subspace bases (33 MB and 16 MB) stay allocated
+        # subspace bases stay allocated
         _subspace_basis.cache_clear()
         tracemalloc.start()
         try:
@@ -255,6 +319,40 @@ class TestSolvers:
         finally:
             tracemalloc.stop()
         assert retained < 64e6
+
+    def test_retained_memory_after_harmonic_solves_is_small(self):
+        # the per-order bases of DH and MW at L = 32 take under 1 MB together
+        _subspace_basis.cache_clear()
+        tracemalloc.start()
+        try:
+            for kind in ("dh", "mw"):
+                x_true, _ = _real_cap_signal(kind, 32)
+                prob, _ = make_problem(x_true, 0.5, 0.01, "harmonic", 3)
+                try:
+                    solve_harmonic(prob, max_iter=1)
+                except SolverError:
+                    pass
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 4e6
+
+    def test_harmonic_solves_at_l64_peak_small(self):
+        # a dense N x L**2 basis would take 533 MB (DH) at this band-limit
+        _subspace_basis.cache_clear()
+        tracemalloc.start()
+        try:
+            for kind in ("dh", "mw"):
+                x_true, _ = _real_cap_signal(kind, 64)
+                prob, _ = make_problem(x_true, 0.5, 0.01, "harmonic", 3)
+                try:
+                    solve_harmonic(prob, max_iter=20)
+                except SolverError:
+                    pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
     def test_zero_measurements_give_zero(self):
         g = make_grid("mw", 8)
