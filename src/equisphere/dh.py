@@ -4,27 +4,26 @@ The forward transform is the explicit quadrature
 
     f_lm = sum_t sum_p q(theta_t) f(theta_t, phi_p) conj(Y_lm)
 
-evaluated by separation of variables: length ``2L`` FFTs over longitude,
-then weighted contractions against normalized Legendre profiles over the
-latitude rows, for an ``O(L**3)`` total.  The profiles are streamed one
-degree at a time (:func:`~equisphere.wigner.legendre_degrees`) on the
-``L + 1`` northern rows only, pole and equator included; row ``2L - t``
-sits at ``-cos(theta_t)``, so the equatorial symmetry
-``P_l^m(-x) = (-1)**(l + m) P_l^m(x)`` supplies the southern rows.  The
-forward folds each southern row onto its northern partner as a sum and a
-difference and contracts every degree against the one of matching
-``l + m`` parity; the inverse keeps even-degree and odd-degree sums apart
-and unfolds them at the end.  No table is stored: working memory is
-``O(L * n_theta)``.  The quadrature weights
+run through the torus: length ``2L`` FFTs over longitude give ``G_m``,
+``|m| < L``; as the nodes ``theta_t = 2 pi t / 4L`` are half of a
+``4L``-point torus, a zero-padded length ``4L`` FFT of the weighted rows
+gives ``G_{mm'} = sum_t q(theta_t) G_m(theta_t) e^{-i m' theta_t}``, and
+the Delta contraction shared with MW
+(:func:`~equisphere.wigner.delta_forward`) does the rest.  The weights
 
     q(theta_t) = (2 pi / L**2) sin(theta_t)
                  sum_{k<L} sin((2k+1) theta_t) / (2k+1)
 
 satisfy ``sum_t q(theta_t) P_l(cos theta_t) = (2 pi / L) delta_{l0}`` for
-every ``l < 2L``, which makes the rule exact for signals band-limited at
-``L``.  The pole row has zero weight, so the forward transform ignores it;
-the inverse still synthesizes it.  Entry checks, per-sample weights and the
-dense reference inverse are the ones shared with MW (``samples``, ``wigner``).
+every ``l < 2L``, so the rule is exact for each product of a band-limited
+``G_m`` with ``cos(m' theta)`` (even ``m``) or ``sin(m' theta)`` (odd
+``m``), the only parts of ``G_{mm'}`` the contraction reads.  The pole row
+has zero weight, so the forward transform ignores it; the inverse still
+synthesizes it, from :func:`~equisphere.wigner.delta_inverse`'s torus
+coefficients by an inverse FFT on a ``(4L, 2L)`` torus, keeping rows
+``t < 2L``.  Both directions cost ``O(L**3)`` in ``O(L**2)`` memory for
+``L <= 1024``.  Entry checks, per-sample weights and the dense reference
+inverse are shared with MW (``samples``, ``wigner``).
 """
 
 from __future__ import annotations
@@ -48,7 +47,13 @@ from .samples import (
     sample_weights,
     theta_nodes,
 )
-from .wigner import inverse_direct, legendre_degrees, ylm_matrix
+from .wigner import (
+    check_delta_bandlimit,
+    delta_forward,
+    delta_inverse,
+    inverse_direct,
+    ylm_matrix,
+)
 
 __all__ = [
     "DhWeights",
@@ -85,77 +90,29 @@ def dh_weights(L: int) -> DhWeights:
     return DhWeights(L, q)
 
 
-def _signs(L: int) -> np.ndarray:
-    return 1.0 - 2.0 * (np.arange(L) % 2)  # (-1)**m
-
-
-def _real_rows(a: np.ndarray) -> np.ndarray:
-    # complex (t, m, +m/-m) -> real (m, re/im of +m/-m, t), contiguous in t
-    return np.ascontiguousarray(a.view(np.float64).transpose(1, 2, 0))
-
-
 def dh_forward(signal: SphereSignal) -> HarmonicCoeffs:
     """Harmonic coefficients of a DH-sampled band-limited signal.
 
     Exact (to rounding) for signals band-limited at the grid's ``L``.
     """
     grid = checked_grid(GridKind.DH, signal)
-    L = grid.L
-    g = np.fft.fft(expand(signal), axis=1)  # column m: sum_p f e^{-i m phi_p}
-    wg = dh_weights(L).q[:, None] * g
-    m = np.arange(L)
-    w = np.stack([wg[:, m], wg[:, -m]], axis=-1)  # (t, m, +m/-m)
-    # Row 2L - t sits at -cos(theta_t): fold it onto row t as a sum, which
-    # pairs with profiles of even l + m, and a difference, which pairs with
-    # odd l + m.  The pole (t = 0) and the equator (t = L) have no partner.
-    north = w[: L + 1]
-    south = np.zeros_like(north)
-    south[1:L] = w[: L : -1]
-    even, odd = north + south, north - south
-    odd_m = (m % 2 == 1)[None, :, None]
-    # fold[l % 2]: real (m, re/im of +m/-m, t) rows for degrees of that parity
-    fold = [
-        _real_rows(np.where(odd_m, odd, even)),
-        _real_rows(np.where(odd_m, even, odd)),
-    ]
-    signs = _signs(L)
-    coeffs = np.empty(L * L, dtype=np.complex128)
-    x = np.cos(theta_nodes(grid)[: L + 1])
-    for el, block in enumerate(legendre_degrees(L, x)):
-        r = np.matmul(fold[el % 2][: el + 1], block[:, :, None])
-        r = r[:, :, 0].view(np.complex128)  # (m, +m/-m)
-        centre = el * el + el
-        coeffs[centre : centre + el + 1] = r[:, 0]
-        coeffs[el * el : centre] = (signs[1 : el + 1] * r[1:, 1])[::-1]
-    return HarmonicCoeffs(L, coeffs)
+    L = check_delta_bandlimit(grid.L)
+    orders = np.arange(1 - L, L)  # m and m', negative ones wrapped
+    g = np.fft.fft(expand(signal), axis=1)[:, orders]  # sum_p f e^{-i m phi_p}
+    # sum_t q(theta_t) g e^{-i m' theta_t}, theta_t = 2 pi t / 4L: zero-padded FFT
+    g_mm = np.fft.fft(dh_weights(L).q[:, None] * g, n=4 * L, axis=0)[orders].T
+    return HarmonicCoeffs(L, delta_forward(g_mm, L))
 
 
 def dh_inverse(coeffs: HarmonicCoeffs, L: int | None = None) -> SphereSignal:
     """Synthesize the band-limited expansion at every DH node."""
     grid = checked_grid(GridKind.DH, coeffs, L)
     L = grid.L
-    x = np.cos(theta_nodes(grid)[: L + 1])
-    signs = _signs(L)
-    vals = coeffs.values
-    # Northern-row sums over even and over odd degrees, kept apart so the
-    # southern rows follow from P_l^m(-x) = (-1)**(l + m) P_l^m(x).
-    acc = np.zeros((2, L, 4, L + 1))  # (l parity, m, re/im of +m/-m, t)
-    c = np.zeros((L, 2), dtype=np.complex128)
-    cr = c.view(np.float64)
-    for el, block in enumerate(legendre_degrees(L, x)):
-        centre = el * el + el
-        c[: el + 1, 0] = vals[centre : centre + el + 1]
-        c[1 : el + 1, 1] = signs[1 : el + 1] * vals[el * el : centre][::-1]
-        acc[el % 2, : el + 1] += cr[: el + 1, :, None] * block[:, None, :]
-    even, odd = (
-        np.ascontiguousarray(a.transpose(2, 0, 1)).view(np.complex128) for a in acc
-    )  # (t, m, +m/-m)
-    rows = np.concatenate(
-        [even + odd, ((even - odd) * signs[None, :, None])[L - 1 : 0 : -1]]
-    )
+    orders = np.arange(1 - L, L)
+    torus = np.zeros((4 * L, 2 * L - 1), dtype=np.complex128)  # [m', m]
+    torus[orders] = delta_inverse(coeffs.values, L).T
     h = np.zeros((grid.n_theta, grid.n_phi), dtype=np.complex128)
-    h[:, :L] = rows[:, :, 0]
-    h[:, grid.n_phi - L + 1 :] = rows[:, :0:-1, 1]
+    h[:, orders] = np.fft.ifft(torus, axis=0)[: 2 * L] * (4 * L)  # rows t < 2L
     f = np.fft.ifft(h, axis=1) * grid.n_phi
     return SphereSignal(grid, contract(grid, f))
 

@@ -44,11 +44,12 @@ from .samples import (
     GridMismatchError,
     HarmonicCoeffs,
     SphereSignal,
+    checked_grid,
     theta_nodes,
 )
 from .transforms import forward, inverse
 from .tv import _row_scales, tv_adjoint_raw, tv_apply_raw
-from .wigner import norm_legendre_tables, ylm_points
+from .wigner import legendre_degrees, norm_legendre_tables, ylm_points
 
 __all__ = [
     "SolveDomain",
@@ -128,8 +129,10 @@ class InpaintProblem:
             raise ValueError(f"expected {self.op.m} measurements, got shape {y.shape}")
         if not np.all(np.isfinite(y)):
             raise ValueError("measurements contain non-finite values")
-        if self.epsilon < 0:
-            raise ValueError("residual bound must be non-negative")
+        for name in ("sigma", "epsilon"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if self.domain not in SolveDomain.ALL:
             raise ValueError(f"unknown solve domain {self.domain!r}")
         if self.op.n != self.grid.n_samples:
@@ -178,17 +181,6 @@ class SolverError(RuntimeError):
 DEFAULT_CAPS = ((1.05, 0.7, 0.85, 1.0), (2.2, 3.8, 0.55, 0.8))
 
 
-def _legendre_poly_upto(n: int, x: float) -> np.ndarray:
-    """Legendre polynomials ``P_0 .. P_n`` at a point."""
-    p = np.empty(n + 1)
-    p[0] = 1.0
-    if n >= 1:
-        p[1] = x
-    for k in range(2, n + 1):
-        p[k] = ((2 * k - 1) * x * p[k - 1] - (k - 1) * p[k - 2]) / k
-    return p
-
-
 def make_cap_signal(
     grid: GridDescriptor,
     caps=DEFAULT_CAPS,
@@ -215,19 +207,19 @@ def make_cap_signal(
     if L < 2:
         raise ValueError("cap signals need a band-limit of at least 2")
     s = 2.5 / L if smoothing is None else float(smoothing)
+    ell_of = np.floor(np.sqrt(np.arange(L * L))).astype(int)
+    ells = np.arange(L + 1)
     coeffs = np.zeros(L * L, dtype=np.complex128)
     for theta_c, phi_c, radius, amp in caps:
         x0 = math.cos(radius)
-        p = _legendre_poly_upto(L, x0)
+        # P_l(x0), l <= L: the normalized m = 0 profile times sqrt(4 pi / (2l + 1))
+        p = np.array([b[0, 0] for b in legendre_degrees(L + 1, [x0])])
+        p *= np.sqrt(4 * np.pi / (2 * ells + 1))
         c = np.empty(L)
         c[0] = math.sqrt(math.pi) * (1.0 - x0)
-        ells = np.arange(1, L)
-        c[1:] = np.sqrt(np.pi / (2 * ells + 1)) * (p[ells - 1] - p[ells + 1])
+        c[1:] = np.sqrt(np.pi / (2 * ells[1:L] + 1)) * (p[: L - 1] - p[2:])
         ybar = np.conj(ylm_points(L, np.array([math.cos(theta_c)]), np.array([phi_c]))[0])
-        for el in range(L):
-            lo, hi = el * el, (el + 1) * (el + 1)
-            coeffs[lo:hi] += amp * c[el] * math.sqrt(4 * math.pi / (2 * el + 1)) * ybar[lo:hi]
-    ell_of = np.floor(np.sqrt(np.arange(L * L))).astype(int)
+        coeffs += amp * c[ell_of] * np.sqrt(4 * np.pi / (2 * ell_of + 1)) * ybar
     coeffs *= np.exp(-ell_of * (ell_of + 1) * s * s / 2.0)
     hc = HarmonicCoeffs(L, coeffs)
     return inverse(grid.kind, hc, L), hc
@@ -266,7 +258,7 @@ def make_problem(
     Returns:
         The problem and a record holding the ground truth, mask, and noise.
     """
-    grid = x_true.grid
+    grid = checked_grid(None, x_true)
     L, n = grid.L, grid.n_samples
     if not 0 < ratio < math.inf:
         raise ValueError(f"ratio must be finite and positive, got {ratio}")

@@ -13,25 +13,21 @@ The forward transform runs, in order:
 4. ``G_{mm'} = 2 pi sum_{m''} F_{mm''} w(m'' - m')`` where ``w`` is the
    exact integral of ``sin(theta) e^{i m' theta}`` over ``[0, pi]``: one
    product with the ``(2L - 1) x (2L - 1)`` Toeplitz matrix of ``w``.
-5. The Delta contraction
-   ``f_lm = i**m sqrt((2l+1)/(4 pi)) sum_{m'} D^l_{m'm} D^l_{m'0} G_{mm'}``,
-   streamed per degree from :func:`~equisphere.wigner.delta_quadrants`
-   (``m', m >= 0``) in ``O(L**2)`` working memory.  As ``D_{-m',m} D_{-m',0}
-   = (-1)**m D_{m'm} D_{m'0}``, ``G_{m,-m'}`` is folded onto ``G_{m,m'}``
-   once; as ``D_{m'0} = 0`` for odd ``l + m'``, a degree reads only the rows
-   ``m' = l (mod 2)``, where ``D_{m',-m} = D_{m'm}``, so ``+-m`` share weights.
+5. The Delta contraction shared with DH,
+   ``f_lm = i**m sqrt((2l+1)/(4 pi)) sum_{m'} D^l_{m'm} D^l_{m'0} G_{mm'}``
+   (:func:`~equisphere.wigner.delta_forward`).
 
 Every step is exact for band-limited inputs, so the whole chain is an
-exact forward transform at ``O(L**3)`` cost.  The inverse runs the same
-factorization in reverse and ends with an inverse FFT onto the sample
-grid.  Only spin zero (scalar) signals are supported.  Entry checks,
-per-sample weights and the dense reference inverse are the ones shared with
-DH (``samples``, ``wigner``).
+exact forward transform at ``O(L**3)`` cost, for ``L <= 1024`` (the Delta
+recursion's range).  The inverse takes the torus coefficients from
+:func:`~equisphere.wigner.delta_inverse`, applies the half-sample phase and
+ends with an inverse 2-D FFT onto the sample grid.  Only spin zero (scalar)
+signals are supported.  Entry checks, per-sample weights and the dense
+reference inverse are the ones shared with DH (``samples``, ``wigner``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -49,7 +45,7 @@ from .samples import (
     frozen_array,
     sample_weights,
 )
-from .wigner import delta_quadrants, inverse_direct
+from .wigner import check_delta_bandlimit, delta_forward, delta_inverse, inverse_direct
 
 __all__ = [
     "MwWeights",
@@ -65,17 +61,6 @@ __all__ = [
 
 # Construction must fail loudly if q picks up imaginary residue beyond this.
 _IMAG_TOL = 1e-12
-
-_I_POW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
-
-
-def _ipow(m: np.ndarray) -> np.ndarray:
-    """Exact ``i**m`` for integer ``m`` (any sign)."""
-    return _I_POW[np.asarray(m) % 4]
-
-
-def _parity(L: int) -> np.ndarray:  # (-1)**m for m = -(L-1) .. L-1
-    return (-1.0) ** np.abs(np.arange(-(L - 1), L))
 
 
 def _weight_fn(mp: np.ndarray) -> np.ndarray:
@@ -133,12 +118,8 @@ def mw_weights(L: int) -> MwWeights:
     mp = np.arange(-(L - 1), L)
     theta_ext = np.pi * (2 * np.arange(n) + 1) / n
     v = np.exp(1j * np.outer(theta_ext, mp)) @ _weight_fn(-mp) / n
-    q = np.array(
-        [
-            (2 * np.pi / n) * (v[t] + (0 if t == L - 1 else v[2 * L - 2 - t]))
-            for t in range(L)
-        ]
-    )
+    t = np.arange(L)
+    q = (2 * np.pi / n) * (v[:L] + np.where(t == L - 1, 0, v[2 * L - 2 - t]))
     if np.abs(q.imag).max() > _IMAG_TOL:
         raise ValueError(
             f"MW weights have imaginary residue {np.abs(q.imag).max():.3e} "
@@ -171,7 +152,7 @@ def mw_torus_spectrum(signal: SphereSignal) -> TorusSpectrum:
     n = 2 * L - 1
     f = expand(signal)
     g = (2 * np.pi / n) * np.fft.fftshift(np.fft.fft(f, axis=1), axes=1)
-    g_ext = np.vstack([g, _parity(L) * g[: L - 1][::-1]])
+    g_ext = np.vstack([g, (-1.0) ** np.abs(np.arange(1 - L, L)) * g[: L - 1][::-1]])
     # FFT over the extended colatitude axis; half-sample node offset.
     mp = np.arange(-(L - 1), L)
     farr = np.fft.fftshift(np.fft.fft(g_ext, axis=0), axes=0)  # [m', m]
@@ -182,31 +163,14 @@ def mw_torus_spectrum(signal: SphereSignal) -> TorusSpectrum:
     return TorusSpectrum(L, g, g_ext, f_mm, g_mm)
 
 
-def _weight_blocks(L: int) -> Iterator[tuple[slice, tuple, np.ndarray, np.ndarray]]:
-    # per degree l: its coefficients, its block of h (rows m' = l mod 2, columns
-    # m = -l .. l), sqrt((2l+1)/(4 pi)) Delta_{m'|m|} Delta_{m'0} there, i**m
-    for el, quad in enumerate(delta_quadrants(L)):
-        rows = quad[el % 2 :: 2]
-        weights = rows * (np.sqrt((2 * el + 1) / (4 * np.pi)) * rows[:, :1])
-        ms = np.arange(-el, el + 1)
-        block = np.s_[el % 2 : el + 1 : 2, L - 1 - el : L + el]
-        yield slice(el * el, (el + 1) ** 2), block, weights[:, abs(ms)], _ipow(ms)
-
-
 def mw_forward(signal: SphereSignal) -> HarmonicCoeffs:
     """Harmonic coefficients of an MW-sampled band-limited signal.
 
     Exact (to rounding) for signals band-limited at the grid's ``L``.
     """
+    check_delta_bandlimit(signal.grid.L)
     spectrum = mw_torus_spectrum(signal)
-    L = spectrum.L
-    # h[m', m + L - 1] = G_{m,m'} + (-1)**m G_{m,-m'} for m' > 0, G_{m,0} at m' = 0
-    h = spectrum.g_mm[:, L - 1 :].T.copy()
-    h[1:] += _parity(L) * spectrum.g_mm[:, : L - 1][:, ::-1].T
-    coeffs = np.empty(L * L, dtype=np.complex128)
-    for flat, block, weights, phase in _weight_blocks(L):
-        coeffs[flat] = phase * np.einsum("am,am->m", weights, h[block])
-    return HarmonicCoeffs(L, coeffs)
+    return HarmonicCoeffs(spectrum.L, delta_forward(spectrum.g_mm, spectrum.L))
 
 
 def mw_inverse(coeffs: HarmonicCoeffs, L: int | None = None) -> SphereSignal:
@@ -214,12 +178,8 @@ def mw_inverse(coeffs: HarmonicCoeffs, L: int | None = None) -> SphereSignal:
     grid = checked_grid(GridKind.MW, coeffs, L)
     L = grid.L
     n = 2 * L - 1
-    h = np.zeros((L, n), dtype=np.complex128)  # [m' >= 0, m + L - 1]
-    for flat, block, weights, phase in _weight_blocks(L):
-        h[block] += weights * (phase.conj() * coeffs.values[flat])
-    # [m, m'] with F_{m,-m'} = (-1)**m F_{m,m'}, then the half-sample phase
-    f_mm = np.hstack([(_parity(L) * h[:0:-1]).T, h.T])
-    f_mm *= np.exp(1j * np.pi * np.arange(-(L - 1), L) / n)
+    f_mm = delta_inverse(coeffs.values, L)
+    f_mm *= np.exp(1j * np.pi * np.arange(-(L - 1), L) / n)  # half-sample phase
     torus = np.fft.ifft2(np.fft.ifftshift(f_mm.T)) * n * n  # [t, p]
     return SphereSignal(grid, contract(grid, torus[:L, :]))
 

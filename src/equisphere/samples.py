@@ -207,7 +207,12 @@ def frozen_array(values, n: int, what: str, dtype=np.complex128) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HarmonicCoeffs:
-    """Band-limited harmonic coefficients as a flat length ``L**2`` vector."""
+    """Band-limited harmonic coefficients as a flat length ``L**2`` vector.
+
+    NaN and inf are accepted here on purpose, so any array can be wrapped.
+    Every entry point rejects them where data enters: :func:`checked_grid`
+    (transforms, integrals, TV norm), the file readers and ``make_problem``.
+    """
 
     L: int
     values: np.ndarray
@@ -232,7 +237,7 @@ class HarmonicCoeffs:
 
 @dataclass(frozen=True)
 class SphereSignal:
-    """Samples of a function on an equiangular grid, pole stored once."""
+    """Samples on an equiangular grid, pole stored once; NaN as in HarmonicCoeffs."""
 
     grid: GridDescriptor
     values: np.ndarray

@@ -1,4 +1,4 @@
-"""Associated Legendre functions, spherical harmonics, and Wigner d at pi/2.
+"""Associated Legendre functions, spherical harmonics, and the Wigner-Delta engine.
 
 Spherical harmonics follow the Condon-Shortley phase convention with the
 ``(-1)**m`` factor folded into the associated Legendre functions:
@@ -9,10 +9,9 @@ Spherical harmonics follow the Condon-Shortley phase convention with the
 and ``Y_{l,-m} = (-1)**m conj(Y_lm)``.  Normalized theta profiles are
 produced by an upward recurrence in degree from the sectoral seed, which
 is stable over the whole supported range; unnormalized ``(l-m)!/(l+m)!``
-factors are never materialized.  One vectorised recursion,
-:func:`legendre_degrees`, streams the profiles one degree at a time in
-``O(L * len(x))`` working memory; the DH transforms consume it directly
-and :func:`norm_legendre_tables` collects it into per-order tables.
+factors are never materialized.  :func:`legendre_degrees` streams the
+profiles one degree at a time in ``O(L * len(x))`` working memory;
+:func:`norm_legendre_tables` collects them into per-order tables.
 
 Wigner small-d values at ``beta = pi/2`` (the Delta matrices) come from
 :func:`delta_quadrants`, the three-term recurrence in degree (Kostelec &
@@ -22,6 +21,12 @@ Rockmore 2008) on the quadrant ``m', m >= 0``, one degree at a time in
 through ``l = 1023`` but reaches zero near ``l = 1075``, where the recursion
 would silently return zeros: so ``L <= 1024`` is supported (an MW round trip
 there is exact to about 6e-14) and larger band-limits raise ``ValueError``.
+
+Both grids' transforms share one harmonic step on a torus spectrum (the
+signal's Fourier series in ``theta``, continued to ``[0, 2 pi)``):
+:func:`delta_forward` is the Delta contraction ``f_lm = i**m sqrt((2l+1)/
+(4 pi)) sum_{m'} D^l_{m'm} D^l_{m'0} G_{mm'}`` and :func:`delta_inverse`
+returns the torus coefficients ``F_{mm'}`` of an expansion.
 """
 
 from __future__ import annotations
@@ -40,6 +45,9 @@ __all__ = [
     "DeltaTable",
     "build_delta_table",
     "delta_quadrants",
+    "check_delta_bandlimit",
+    "delta_forward",
+    "delta_inverse",
     "legendre_degrees",
     "norm_legendre_tables",
     "ylm_points",
@@ -245,6 +253,14 @@ class DeltaTable:
         return float(self.slice(el)[m + el, n + el])
 
 
+def check_delta_bandlimit(L) -> int:
+    """``L`` as a band-limit the Delta recursion supports: ``1 <= L <= 1024``."""
+    L = check_bandlimit(L)
+    if L > 1024:  # see the module docstring
+        raise ValueError(f"Wigner recursion supports band-limits up to 1024, got {L}")
+    return L
+
+
 def delta_quadrants(L: int) -> Iterator[np.ndarray]:
     """Stream ``D[m', m] = d^l_{m'm}(pi/2)`` for ``m', m >= 0``, ``l < L``.
 
@@ -255,9 +271,7 @@ def delta_quadrants(L: int) -> Iterator[np.ndarray]:
     -sqrt((2l-1)/(2l)) d^{l-1}_{l-1,0}``.  Each ``(l+1, l+1)`` view stays valid
     for three more degrees.  ``L > 1024`` raises ``ValueError`` before any work.
     """
-    L = check_bandlimit(L)
-    if L > 1024:  # see the module docstring
-        raise ValueError(f"Wigner recursion supports band-limits up to 1024, got {L}")
+    L = check_delta_bandlimit(L)
     bufs = [np.zeros((L, L)) for _ in range(3)]
     for el in range(L):
         cur, p1, p2 = bufs[el % 3], bufs[(el - 1) % 3], bufs[(el - 2) % 3]
@@ -291,3 +305,73 @@ def build_delta_table(L: int) -> DeltaTable:
         full.flags.writeable = False
         slices.append(full)
     return DeltaTable(len(slices), tuple(slices))
+
+
+# The contraction at degree l reads only the rows m' = l (mod 2), where D_{m'0}
+# is non-zero and D_{m',-m} = D_{m'm}; there D_{m'm} = (-1)**(m' - m) D_{mm'}.
+# So with W[m, j] = sqrt((2l+1)/(4 pi)) D_{m,m'} D_{0,m'}, m >= 0, m' = l % 2 + 2j,
+# sqrt((2l+1)/(4 pi)) sum_{m'} D_{m',+-m} D_{m'0} x_{m'} = (-1)**m W[m] @ x.
+def _contraction_weights(L: int) -> Iterator[tuple[int, np.ndarray]]:
+    for el, quad in enumerate(delta_quadrants(L)):
+        cols = quad[:, el % 2 :: 2]
+        yield el, cols * (math.sqrt((2 * el + 1) / (4 * math.pi)) * cols[0])
+
+
+def _torus_orders(L: int) -> tuple[np.ndarray, np.ndarray]:
+    # (-1)**m for m = -(L-1) .. L-1, and i**m (-1)**m = (-i)**m for m = 0 .. L-1
+    m = np.arange(1 - L, L)
+    return 1.0 - 2.0 * (m % 2), np.array([1, -1j, -1, 1j])[m[L - 1 :] % 4]
+
+
+def delta_forward(g_mm: np.ndarray, L: int) -> np.ndarray:
+    """Flat coefficients from ``g_mm[m + L - 1, m' + L - 1] = int_0^pi G_m(theta)
+    sin(theta) e^{-i m' theta} dtheta``, ``|m|, |m'| < L``, where ``G_m`` is the
+    ``e^{-i m phi}`` Fourier coefficient over longitude.  As ``D_{-m',m} D_{-m',0}
+    = (-1)**m D_{m'm} D_{m'0}``, ``G_{m,-m'}`` is folded onto ``G_{m,m'}`` once."""
+    L = check_delta_bandlimit(L)
+    parity, phase = _torus_orders(L)
+    # h[m + L - 1, m'] = G_{m,m'} + (-1)**m G_{m,-m'} for m' > 0, G_{m,0} at m' = 0
+    h = g_mm[:, L - 1 :].copy()
+    h[:, 1:] += parity[:, None] * g_mm[:, : L - 1][:, ::-1]
+    # real (m >= 0, re/im of +m and of -m, m'), one array per parity of m'
+    pm = np.stack([h[L - 1 :], h[L - 1 :: -1]], axis=1)
+    rows = np.stack([pm.real, pm.imag], axis=2).reshape(L, 4, L)
+    halves = [np.ascontiguousarray(rows[:, :, p::2]) for p in (0, 1)]
+    coeffs = np.empty(L * L, dtype=np.complex128)
+    for el, w in _contraction_weights(L):
+        r = np.matmul(halves[el % 2][: el + 1, :, : w.shape[1]], w[:, :, None])
+        r = r.reshape(el + 1, 4).view(np.complex128)  # (m, +m/-m)
+        centre = el * el + el
+        coeffs[centre : centre + el + 1] = phase[: el + 1] * r[:, 0]
+        coeffs[el * el : centre] = (phase[1 : el + 1].conj() * r[1:, 1])[::-1]
+    return coeffs
+
+
+def delta_inverse(values: np.ndarray, L: int) -> np.ndarray:
+    """Torus coefficients ``F[m + L - 1, m' + L - 1]`` of the expansion with flat
+    coefficients ``values``: ``f(theta, phi) = sum F_{mm'} e^{i m' theta} e^{i m
+    phi}``, with ``F_{m,-m'} = (-1)**m F_{m,m'}``; the adjoint steps of
+    :func:`delta_forward`, streaming :func:`delta_quadrants` the same way."""
+    L = check_delta_bandlimit(L)
+    parity, phase = _torus_orders(L)
+    acc = [np.zeros((L, 4, (L + 1 - p) // 2)) for p in (0, 1)]
+    batch = [[], []]  # per parity of l, up to 8 degrees added by one matmul
+    for el, w in _contraction_weights(L):
+        m, centre = np.arange(el + 1), el * el + el
+        c = np.stack([phase[m].conj() * values[centre + m], phase[m] * values[centre - m]], 1)
+        pending = batch[el % 2]
+        pending.append((c.view(np.float64), w))  # c: (m, +m/-m), phased
+        if len(pending) == 8 or el >= L - 2:
+            n, a = w.shape
+            cb, wb = np.zeros((n, 4, len(pending))), np.zeros((n, len(pending), a))
+            for i, (ci, wi) in enumerate(pending):
+                cb[: len(ci), :, i] = ci
+                wb[: len(wi), i, : wi.shape[1]] = wi
+            acc[el % 2][:n, :, :a] += cb @ wb
+            pending.clear()
+    f = np.empty((2 * L - 1, 2 * L - 1), dtype=np.complex128)
+    for p, part in enumerate(acc):  # part[m >= 0, re/im of +m and of -m, m' = p + 2j]
+        f[L - 1 :, L - 1 + p :: 2] = part[:, 0] + 1j * part[:, 1]
+        f[L - 1 :: -1, L - 1 + p :: 2] = part[:, 2] + 1j * part[:, 3]
+    f[:, : L - 1] = parity[:, None] * f[:, : L - 1 : -1]
+    return f

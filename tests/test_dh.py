@@ -90,8 +90,8 @@ class TestForward:
 
     @pytest.mark.parametrize("L", [1, 2, 3, 7, 8, 9])
     def test_matches_direct_quadrature(self, L):
-        # an arbitrary, not band-limited signal also exercises the pole and
-        # equator rows of the equatorial fold
+        # an arbitrary, not band-limited signal: the route through the torus
+        # must equal the explicit quadrature for any samples, pole row included
         rng = np.random.default_rng(8)
         g = make_grid("dh", L)
         sig = SphereSignal(
@@ -135,8 +135,8 @@ class TestInverse:
         assert np.abs(back.values - x.values).max() < 1e-9
 
     def test_roundtrip_working_memory(self):
-        # streamed Legendre recursion: no O(L^3) table is built per call
-        # (a full table set at L = 256 is about 135 MB)
+        # Wigner-Delta recursion streamed one degree at a time: no O(L^3)
+        # table is built per call (the full Delta table at L = 256 is about 180 MB)
         x = random_coeffs(256, np.random.default_rng(1))
         tracemalloc.start()
         try:
@@ -145,6 +145,15 @@ class TestInverse:
         finally:
             tracemalloc.stop()
         assert peak < 64e6
+
+    def test_bandlimit_above_delta_recursion_range(self):
+        # zero-stride samples keep this small; the check comes before any FFT
+        g = make_grid("dh", 1025)
+        sig = SphereSignal(g, np.broadcast_to(np.complex128(0), (g.n_samples,)))
+        with pytest.raises(ValueError, match="up to 1024"):
+            dh_forward(sig)
+        with pytest.raises(ValueError, match="up to 1024"):
+            dh_inverse(HarmonicCoeffs.zeros(1025))
 
     def test_linearity(self):
         rng = np.random.default_rng(10)

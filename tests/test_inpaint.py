@@ -160,6 +160,33 @@ class TestMakeProblem:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             make_problem(x_true, ratio, sigma_rel, "spatial", 1)
 
+    @pytest.mark.parametrize(
+        "name, sigma, epsilon",
+        [
+            ("epsilon", 0.1, math.nan),
+            ("epsilon", 0.1, math.inf),
+            ("sigma", math.nan, 0.5),
+            ("sigma", math.inf, 0.5),
+            ("sigma", -1.0, 0.5),
+        ],
+    )
+    def test_problem_rejects_bad_sigma_or_epsilon(self, name, sigma, epsilon):
+        # built directly, as make_problem never yields these; with all-zero
+        # measurements a NaN bound used to reach the solver's ball projection
+        from equisphere.inpaint import InpaintProblem
+
+        g = make_grid("mw", 4)
+        op = MeasurementOp(np.arange(3), g.n_samples)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            InpaintProblem(np.zeros(3), op, sigma, epsilon, "spatial", g)
+
+    def test_rejects_non_finite_signal(self):
+        g = make_grid("mw", 8)
+        vals = np.zeros(g.n_samples, dtype=complex)
+        vals[3] = math.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            make_problem(SphereSignal(g, vals), 0.5, 0.01, "spatial", 1)
+
     def test_rejects_complex_signal(self):
         g = make_grid("mw", 8)
         vals = np.zeros(g.n_samples, dtype=complex)
