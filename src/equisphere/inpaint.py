@@ -10,13 +10,16 @@ where ``Psi`` is the inverse spherical harmonic transform of the signal's
 grid.  Both are handled by one first-order primal-dual scheme: the TV term
 through its dual (a per-site disc projection) and the residual ball by
 Euclidean projection, with step sizes from a power-iteration estimate of
-the stacked operator norm.  The whole pipeline is real-valued.  Harmonic
-solves iterate in sample space inside the band-limited subspace of real
-signals.  Both grids sample each ring at ``n_phi >= 2L - 1`` equispaced
-longitudes, so a real FFT along the rings separates the orders ``m`` and
-the projection onto the subspace splits into one small projection per
-order, onto a cached QR basis of that order's Legendre profiles; no
-``N x L**2`` matrix is formed.  The reported coefficients are the grid's
+the stacked operator norm.  Each iteration runs one TV adjoint (the primal
+step) and two TV applies (the dual step and the recorded objective) on
+work arrays that are allocated once per solve and updated in place; the
+TV dual is one stacked ``(2, n_theta, n_phi)`` array.  The whole pipeline
+is real-valued.  Harmonic solves iterate in sample space inside the
+band-limited subspace of real signals.  Both grids sample each ring at
+``n_phi >= 2L - 1`` equispaced longitudes, so a real FFT along the rings
+separates the orders ``m`` and the projection onto the subspace splits
+into one small projection per order, onto a cached QR basis of that
+order's Legendre profiles; no ``N x L**2`` matrix is formed.  The reported coefficients are the grid's
 forward transform of the result.
 
 The solver records, per iteration, the objective of the best feasible
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -48,7 +51,7 @@ from .samples import (
     theta_nodes,
 )
 from .transforms import forward, inverse
-from .tv import _row_scales, tv_adjoint_raw, tv_apply_raw
+from .tv import _row_scales, _tv_total, tv_adjoint_raw, tv_apply_raw
 from .wigner import legendre_degrees, norm_legendre_tables, ylm_points
 
 __all__ = [
@@ -159,6 +162,9 @@ class SolveResult:
     ``x_hat_star`` is populated for harmonic-domain solves only.
     ``objective_trace[k]`` is the objective of the best feasible iterate
     after ``k + 1`` iterations (``+inf`` before feasibility is reached).
+    ``setup_seconds`` is the wall time before the first iteration (power
+    iteration, noiseless polish factorisation) and ``loop_seconds`` that of
+    the iterations; neither takes part in comparisons.
     """
 
     x_star: SphereSignal
@@ -167,6 +173,8 @@ class SolveResult:
     final_objective: float
     final_residual: float
     objective_trace: np.ndarray
+    setup_seconds: float = field(compare=False)
+    loop_seconds: float = field(compare=False)
 
 
 class SolverError(RuntimeError):
@@ -407,11 +415,26 @@ def _subspace_basis(grid: GridDescriptor) -> _OrderBases:
 
 
 def _solve(problem: InpaintProblem, max_iter: int, tol: float) -> SolveResult:
+    t_start = time.perf_counter()
     grid = problem.grid
     y, eps = problem.y, problem.epsilon
     mask = problem.op.indices
-    a_theta, a_phi = _row_scales(grid, None)
     harmonic = problem.domain == SolveDomain.HARMONIC
+
+    # Work arrays, allocated once per solve and updated in place by every
+    # iteration: `full` takes the pole-broadcast samples and the per-site
+    # magnitudes, `grad` the TV applies and the adjoint's weighted duals.
+    # The TV dual is one stacked (colatitude, longitude) array, and the row
+    # factors are spread over that shape so each weighting is one flat run.
+    shape = (2, grid.n_theta, grid.n_phi)
+    scales = np.ascontiguousarray(np.broadcast_to(_row_scales(grid, None), shape))
+    full = np.empty(shape[1:])
+    grad = np.empty(shape)
+    dual = np.zeros(shape)
+    dual_new = np.empty(shape)
+    back, s_ex, cand_buf, best_buf = (np.empty(grid.n_samples) for _ in range(4))
+    v = np.zeros(mask.size)
+    v_new, w, r = (np.empty(mask.size) for _ in range(3))
 
     # Both domains iterate over sample space; the harmonic problem adds the
     # band-limited subspace as a primal constraint whose prox is the
@@ -425,8 +448,8 @@ def _solve(problem: InpaintProblem, max_iter: int, tol: float) -> SolveResult:
         x = problem.op.adjoint(y)  # zero-fill start, already feasible
 
     def normal_op(z):
-        g_t, g_p = tv_apply_raw(grid, a_theta, a_phi, z)
-        back = tv_adjoint_raw(grid, a_theta, a_phi, g_t, g_p)
+        g = tv_apply_raw(grid, scales, z, out=grad, full=full)
+        tv_adjoint_raw(grid, scales, g, out=back, work=dual_new, full=full)
         back[mask] += z[mask]
         return back
 
@@ -462,18 +485,14 @@ def _solve(problem: InpaintProblem, max_iter: int, tol: float) -> SolveResult:
         if exact_fit:
             return z + fit_correct(r)
         if not harmonic:
-            z = z.copy()
-            z[mask] = y - (eps / d) * r
-            return z
+            np.copyto(cand_buf, z)
+            cand_buf[mask] = y - (eps / d) * r
+            return cand_buf
         return z  # noisy harmonic iterates enter the slack band on their own
 
-    def tv_of(s):
-        g_t, g_p = tv_apply_raw(grid, a_theta, a_phi, s)
-        return float(np.sqrt(g_t**2 + g_p**2).sum())
+    def tv_of(z):
+        return _tv_total(tv_apply_raw(grid, scales, z, out=grad, full=full), out=full)
 
-    u_t = np.zeros((grid.n_theta, grid.n_phi))
-    u_p = np.zeros_like(u_t)
-    v = np.zeros(mask.size)
     best_obj = math.inf
     best_x = None
     trace = np.empty(max_iter)
@@ -481,35 +500,49 @@ def _solve(problem: InpaintProblem, max_iter: int, tol: float) -> SolveResult:
     converged = False
     iterations = 0
 
+    t_loop = time.perf_counter()
     for k in range(max_iter):
         # primal step from the current duals
-        back = tv_adjoint_raw(grid, a_theta, a_phi, u_t, u_p)
+        tv_adjoint_raw(grid, scales, dual, out=back, work=grad, full=full)
         back[mask] += v
-        x_t = prox_primal(x - step * back)
+        np.multiply(step, back, out=back)
+        np.subtract(x, back, out=back)
+        x_new = prox_primal(back)
 
         # dual steps at the extrapolated point
-        s_ex = 2.0 * x_t - x
-        g_t, g_p = tv_apply_raw(grid, a_theta, a_phi, s_ex)
-        ut_t = u_t + step * g_t
-        up_t = u_p + step * g_p
-        mag = np.sqrt(ut_t**2 + up_t**2)
+        np.multiply(2.0, x_new, out=s_ex)
+        np.subtract(s_ex, x, out=s_ex)
+        g = tv_apply_raw(grid, scales, s_ex, out=grad, full=full)
+        np.multiply(step, g, out=g)
+        np.add(dual, g, out=dual_new)
+        np.square(dual_new, out=g)
+        mag = np.add(g[0], g[1], out=full)
+        np.sqrt(mag, out=mag)
         np.maximum(mag, 1.0, out=mag)
-        ut_t /= mag
-        up_t /= mag
+        np.divide(dual_new, mag, out=dual_new)
 
-        v_t = v + step * s_ex[mask]
-        w = v_t / step
-        d = float(np.linalg.norm(w - y))
-        proj = y if d <= eps else y + (w - y) * (eps / d)
-        v_t = v_t - step * proj
+        np.take(s_ex, mask, out=v_new)
+        np.multiply(step, v_new, out=v_new)
+        np.add(v, v_new, out=v_new)
+        np.divide(v_new, step, out=w)
+        np.subtract(w, y, out=w)
+        d = float(np.linalg.norm(w))
+        if d <= eps:
+            np.multiply(step, y, out=w)
+        else:  # step times the ball projection of v_new / step
+            np.multiply(w, eps / d, out=w)
+            np.add(y, w, out=w)
+            np.multiply(step, w, out=w)
+        np.subtract(v_new, w, out=v_new)
 
         # over-relaxation (rho < 2 keeps the scheme convergent)
-        x = x + _RELAX * (x_t - x)
-        u_t = u_t + _RELAX * (ut_t - u_t)
-        u_p = u_p + _RELAX * (up_t - u_p)
-        v = v + _RELAX * (v_t - v)
+        for cur, new in ((x, x_new), (dual, dual_new), (v, v_new)):
+            np.subtract(new, cur, out=new)
+            np.multiply(_RELAX, new, out=new)
+            np.add(cur, new, out=cur)
 
-        r = y - x[mask]
+        np.take(x, mask, out=r)
+        np.subtract(y, r, out=r)
         d = float(np.linalg.norm(r))
         cand = candidate(x, r, d)
         if cand is not x:
@@ -520,7 +553,8 @@ def _solve(problem: InpaintProblem, max_iter: int, tol: float) -> SolveResult:
         raw_objs[k] = obj
         if res <= max(feas_accept, feas_bound) and obj < best_obj:
             best_obj = obj
-            best_x = cand
+            np.copyto(best_buf, cand)
+            best_x = best_buf
         trace[k] = best_obj
         iterations = k + 1
         if k >= _STALL_WINDOW and best_x is not None:
@@ -528,6 +562,7 @@ def _solve(problem: InpaintProblem, max_iter: int, tol: float) -> SolveResult:
             if abs(obj - prev) <= tol * max(abs(prev), 1e-12):
                 converged = True
                 break
+    loop_seconds = time.perf_counter() - t_loop
 
     if best_x is None:
         r = y - x[mask]
@@ -545,6 +580,8 @@ def _solve(problem: InpaintProblem, max_iter: int, tol: float) -> SolveResult:
         final_objective=best_obj,
         final_residual=final_res,
         objective_trace=trace[:iterations].copy(),
+        setup_seconds=t_loop - t_start,
+        loop_seconds=loop_seconds,
     )
     if not converged:
         raise SolverError(

@@ -273,19 +273,35 @@ def checked_grid(kind, data, L: int | None = None) -> GridDescriptor:
     return grid
 
 
-def expand_values(grid: GridDescriptor, v: np.ndarray) -> np.ndarray:
-    """Stored sample vector as a full ``(n_theta, n_phi)`` array, pole broadcast."""
+def expand_values(
+    grid: GridDescriptor, v: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Stored sample vector as a full ``(n_theta, n_phi)`` array, pole broadcast.
+
+    ``out``, if given, is a C-contiguous ``(n_theta, n_phi)`` array that
+    receives the result and is returned.
+    """
     v = np.asarray(v)
     if v.shape != (grid.n_samples,):
         raise GridMismatchError(
             f"expected {grid.n_samples} stored samples, got shape {v.shape}"
         )
     k, n = grid.pole_row * grid.n_phi, grid.n_phi
-    full = np.empty(grid.n_theta * n, dtype=v.dtype)
+    if out is None:
+        out = np.empty((grid.n_theta, n), dtype=v.dtype)
+    elif (
+        out.shape != (grid.n_theta, n)
+        or not out.flags.c_contiguous
+        or not np.can_cast(v.dtype, out.dtype)
+    ):
+        raise ValueError(
+            f"out must be a C-contiguous {(grid.n_theta, n)} array that can hold {v.dtype}"
+        )
+    full = out.reshape(-1)
     full[:k] = v[:k]
     full[k : k + n] = v[k]
     full[k + n :] = v[k + 1 :]
-    return full.reshape(grid.n_theta, n)
+    return out
 
 
 def expand(signal: SphereSignal) -> np.ndarray:
@@ -304,10 +320,26 @@ def contract(grid: GridDescriptor, full: np.ndarray) -> np.ndarray:
     return np.concatenate((flat[: k + 1], flat[k + grid.n_phi :]))
 
 
-def contract_adjoint(grid: GridDescriptor, full: np.ndarray) -> np.ndarray:
-    """Adjoint of the expansion map: sums the pole ring into its single slot."""
-    out = contract(grid, full)
-    out[grid.pole_row * grid.n_phi] = full[grid.pole_row].sum()
+def contract_adjoint(
+    grid: GridDescriptor, full: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Adjoint of the expansion map: sums the pole ring into its single slot.
+
+    ``out``, if given, is an ``(n_samples,)`` array that receives the result
+    and is returned.
+    """
+    if out is None:
+        out = np.empty(grid.n_samples, dtype=full.dtype)
+    if full.shape != (grid.n_theta, grid.n_phi) or out.shape != (grid.n_samples,):
+        raise GridMismatchError(
+            f"expected {(grid.n_theta, grid.n_phi)} into {(grid.n_samples,)}, "
+            f"got {full.shape} into {out.shape}"
+        )
+    k, n = grid.pole_row * grid.n_phi, grid.n_phi
+    flat = full.reshape(-1)
+    out[:k] = flat[:k]
+    out[k] = full[grid.pole_row].sum()
+    out[k + 1 :] = flat[k + n :]
     return out
 
 

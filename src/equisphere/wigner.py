@@ -175,7 +175,9 @@ def legendre_degrees(L: int, x: np.ndarray) -> Iterator[np.ndarray]:
 def norm_legendre_tables(L: int, x: np.ndarray) -> list[np.ndarray]:
     """Normalized theta profiles for all degrees below ``L`` at nodes ``x``.
 
-    Collects :func:`legendre_degrees` into per-order tables.
+    Collects :func:`legendre_degrees` into per-order tables, which are
+    consecutive row ranges of one array, so each degree's block is placed
+    with a single indexed assignment.
 
     Args:
         L: Band-limit.
@@ -188,11 +190,12 @@ def norm_legendre_tables(L: int, x: np.ndarray) -> list[np.ndarray]:
     """
     L = check_bandlimit(L)
     x = np.asarray(x, dtype=np.float64)
-    tables = [np.empty((L - m, x.size)) for m in range(L)]
+    m = np.arange(L)
+    start = m * L - m * (m - 1) // 2  # first row of order m's table
+    rows = np.empty((L * (L + 1) // 2, x.size))
     for el, block in enumerate(legendre_degrees(L, x)):
-        for m in range(el + 1):
-            tables[m][el - m] = block[m]
-    return tables
+        rows[start[: el + 1] + el - m[: el + 1]] = block
+    return [rows[start[k] : start[k] + L - k] for k in range(L)]
 
 
 def ylm_points(L: int, x: np.ndarray, phi: np.ndarray) -> np.ndarray:

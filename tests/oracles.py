@@ -14,6 +14,10 @@ Delta builder the MW transforms used before they streamed the quadrant
 recursion; tests hold the stream to it within rounding.
 ``real_synthesis_matrix`` is the dense synthesis operator the harmonic
 solver projected with before it worked one order at a time.
+``tv_apply_roll`` / ``tv_adjoint_roll`` are the TV kernels as they were
+before they took slice differences into reused buffers: separate row
+factors, ``np.roll`` along longitude, new arrays on every call; tests
+require the buffered kernels to match them bit for bit.
 """
 
 from __future__ import annotations
@@ -395,6 +399,26 @@ def contract_adjoint_branch(grid, full: np.ndarray) -> np.ndarray:
         out[: grid.n_samples - 1] = full[: grid.L - 1, :].ravel()
         out[-1] = full[grid.L - 1, :].sum()
     return out
+
+
+def tv_apply_roll(grid, a_theta, a_phi, vec):
+    """Weighted forward differences ``(u_theta, u_phi)`` of stored samples."""
+    full = expand_values_branch(grid, vec)
+    d_theta = np.zeros_like(full)
+    d_theta[:-1] = full[1:] - full[:-1]
+    d_phi = np.roll(full, -1, axis=1) - full
+    return a_theta[:, None] * d_theta, a_phi[:, None] * d_phi
+
+
+def tv_adjoint_roll(grid, a_theta, a_phi, u_theta, u_phi):
+    """Adjoint of :func:`tv_apply_roll`, as stored samples."""
+    u_t = a_theta[:, None] * u_theta
+    u_p = a_phi[:, None] * u_phi
+    out = np.zeros((grid.n_theta, grid.n_phi), dtype=np.result_type(u_t, u_p))
+    out[1:] += u_t[:-1]
+    out -= u_t
+    out += np.roll(u_p, 1, axis=1) - u_p
+    return contract_adjoint_branch(grid, out)
 
 
 def tv_spacings_branch(grid) -> tuple[float, float]:

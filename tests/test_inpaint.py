@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -432,6 +433,20 @@ class TestSolvers:
         r_s = solve_spatial(prob_s)
         r_h = solve_harmonic(prob_h)
         assert snr(x_true, r_h.x_star) >= snr(x_true, r_s.x_star)
+
+    def test_records_setup_and_loop_seconds(self):
+        x_true, _ = _real_cap_signal("dh", 8)
+        for domain, solver, sigma_rel in (
+            ("spatial", solve_spatial, 0.01),
+            ("harmonic", solve_harmonic, 0.01),
+            ("harmonic", solve_harmonic, 0.0),  # with the polish factorisation
+        ):
+            prob, _ = make_problem(x_true, 1.0, sigma_rel, domain, 19)
+            res = solver(prob)
+            assert res.setup_seconds >= 0.0
+            assert res.loop_seconds >= 0.0
+            # the timings take no part in comparing results
+            assert res == dataclasses.replace(res, setup_seconds=-1.0, loop_seconds=-1.0)
 
     def test_domain_guards(self):
         x_true, _ = _real_cap_signal("mw", 8)

@@ -13,8 +13,11 @@ from equisphere.samples import (
 )
 from equisphere.tv import (
     GradientField,
+    _row_scales,
     gradient,
     gradient_adjoint,
+    tv_adjoint_raw,
+    tv_apply_raw,
     tv_gradient,
     tv_norm,
 )
@@ -109,6 +112,21 @@ class TestTvNorm:
             tv_norm(sig, mw_weights(5))
         assert tv_norm(sig, mw_weights(4)) == 0.0
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(np.nan, "non-finite"), (np.inf, "non-finite"), (-np.inf, "non-finite"),
+         (-0.25, "non-negative")],
+    )
+    def test_rejects_bad_raw_weights(self, bad, message):
+        g = make_grid("mw", 4)
+        sig = SphereSignal(g, np.arange(g.n_samples, dtype=float))
+        q = mw_weights(4).q.copy()
+        q[1] = bad
+        with pytest.raises(ValueError, match=message):
+            tv_norm(sig, q)
+        with pytest.raises(ValueError, match=message):
+            tv_gradient(sig, q)
+
     def test_rejects_non_finite(self):
         g = make_grid("mw", 3)
         vals = np.zeros(g.n_samples)
@@ -195,3 +213,67 @@ class TestAdjoint:
         a = q[1] / (2 * np.pi / 7)
         assert out[1 * g.n_phi + 2].real == pytest.approx(-a)
         assert out[2 * g.n_phi + 2].real == pytest.approx(a)
+
+
+def _same_bits(a, b):
+    # stricter than np.array_equal: signed zeros must match as well
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64)
+    )
+
+
+def _with_signed_zeros(rng, a):
+    # about half the entries replaced by +0.0 or -0.0 at random
+    zeros = np.where(rng.random(a.shape) < 0.5, 0.0, -0.0)
+    return np.where(rng.random(a.shape) < 0.5, zeros, a)
+
+
+class TestBufferedKernels:
+    @pytest.mark.parametrize("kind", ["dh", "mw"])
+    @pytest.mark.parametrize("L", [1, 2, 5, 32])
+    def test_match_roll_kernels_exactly(self, kind, L):
+        g = make_grid(kind, L)
+        scales = _row_scales(g, None)
+        a_theta, a_phi = scales[:, :, 0]
+        shape = (2, g.n_theta, g.n_phi)
+        spread = np.ascontiguousarray(np.broadcast_to(scales, shape))
+        out, work, full = np.empty(shape), np.empty(shape), np.empty(shape[1:])
+        back = np.empty(g.n_samples)
+        rng = np.random.default_rng(40 + L)
+        # one set of buffers across two different inputs; the second has
+        # signed zeros, whose signs the kernels must reproduce
+        for trial in range(2):
+            x = rng.standard_normal(g.n_samples)
+            u = rng.standard_normal(shape)
+            if trial:
+                x, u = _with_signed_zeros(rng, x), _with_signed_zeros(rng, u)
+            u_before = u.copy()
+            e_t, e_p = oracles.tv_apply_roll(g, a_theta, a_phi, x)
+            e_back = oracles.tv_adjoint_roll(g, a_theta, a_phi, u[0], u[1])
+            for sc in (scales, spread):
+                got = tv_apply_raw(g, sc, x, out=out, full=full)
+                assert got is out
+                assert _same_bits(got[0], e_t) and _same_bits(got[1], e_p)
+                got = tv_adjoint_raw(g, sc, u, out=back, work=work, full=full)
+                assert got is back
+                assert _same_bits(got, e_back)
+                assert _same_bits(u, u_before)
+            # without buffers, the kernels allocate their own
+            got = tv_apply_raw(g, scales, x)
+            assert _same_bits(got[0], e_t) and _same_bits(got[1], e_p)
+            assert _same_bits(tv_adjoint_raw(g, scales, u), e_back)
+
+    def test_rejects_unfit_buffers(self):
+        g = make_grid("dh", 4)
+        scales = _row_scales(g, None)
+        shape = (2, g.n_theta, g.n_phi)
+        x = np.zeros(g.n_samples)
+        with pytest.raises(ValueError):
+            tv_apply_raw(g, scales, x, out=np.empty((2, g.n_theta, g.n_phi + 1)))
+        with pytest.raises(ValueError):
+            tv_apply_raw(g, scales, x, full=np.empty((g.n_phi, g.n_theta)).T)
+        with pytest.raises(ValueError):
+            tv_apply_raw(g, scales, x + 1j, full=np.empty(shape[1:]))
+        with pytest.raises(ValueError):
+            tv_adjoint_raw(g, scales, np.zeros(shape), work=np.empty(shape[::-1]).T)

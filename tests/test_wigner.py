@@ -53,6 +53,15 @@ class TestLegendre:
         for a, b in zip(got, expect):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("L", [1, 2, 33, 257])
+    def test_tables_equal_loop_oracle(self, L):
+        x = np.array([-1.0, -0.3, 0.0, 0.7, 1.0])
+        got = norm_legendre_tables(L, x)
+        expect = oracles.norm_legendre_tables_loop(L, x)
+        assert [a.shape for a in got] == [b.shape for b in expect]
+        for a, b in zip(got, expect):
+            assert np.array_equal(a, b)
+
     def test_degree_blocks(self):
         x = np.linspace(-1.0, 1.0, 5)
         tables = norm_legendre_tables(9, x)
