@@ -2,9 +2,10 @@
 
 Commands: ``forward``, ``inverse``, ``weights``, ``tv-norm``, ``integrate``,
 ``make-signal``, ``experiment``.  Exit codes: 0 success, 2 parse or
-validation failure, 3 grid/band-limit contract violation, 4 every
-experiment cell failed.  Result files never contain timestamps or other
-nondeterministic content; wall time lives in the experiment manifest.
+validation failure (a band-limit too large for memory included), 3
+grid/band-limit contract violation, 4 every experiment cell failed.
+Result files never contain timestamps or other nondeterministic content;
+wall time lives in the experiment manifest.
 """
 
 from __future__ import annotations
@@ -177,11 +178,8 @@ def main(argv=None) -> int:
     except GridMismatchError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONTRACT
-    except (fileio.FormatError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (fileio.FormatError, ValueError, OSError, MemoryError) as err:
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return EXIT_PARSE
 
 

@@ -22,8 +22,8 @@ has zero weight, so the forward transform ignores it; the inverse still
 synthesizes it, from :func:`~equisphere.wigner.delta_inverse`'s torus
 coefficients by an inverse FFT on a ``(4L, 2L)`` torus, keeping rows
 ``t < 2L``.  Both directions cost ``O(L**3)`` in ``O(L**2)`` memory for
-``L <= 1024``.  Entry checks, per-sample weights and the dense reference
-inverse are shared with MW (``samples``, ``wigner``).
+``L <= 1024``.  Entry checks and per-sample weights are shared with MW
+through ``samples``, the Delta engine through ``wigner``.
 """
 
 from __future__ import annotations
@@ -47,13 +47,7 @@ from .samples import (
     sample_weights,
     theta_nodes,
 )
-from .wigner import (
-    check_delta_bandlimit,
-    delta_forward,
-    delta_inverse,
-    inverse_direct,
-    ylm_matrix,
-)
+from .wigner import check_delta_bandlimit, delta_forward, delta_inverse
 
 __all__ = [
     "DhWeights",
@@ -61,8 +55,6 @@ __all__ = [
     "dh_forward",
     "dh_inverse",
     "dh_integrate",
-    "dh_forward_direct",
-    "dh_inverse_direct",
     "dh_sample_weights",
 ]
 
@@ -130,19 +122,3 @@ def dh_integrate(signal: SphereSignal) -> complex:
     """
     grid = checked_grid(GridKind.DH, signal)
     return complex(dh_sample_weights(grid) @ signal.values)
-
-
-def dh_forward_direct(signal: SphereSignal) -> HarmonicCoeffs:
-    """Reference forward path: one dense quadrature sum per coefficient.
-
-    O(L**4); kept as an independent check on the separated transform.
-    """
-    grid = checked_grid(GridKind.DH, signal)
-    w = dh_sample_weights(grid)
-    coeffs = ylm_matrix(grid).conj().T @ (w * signal.values)
-    return HarmonicCoeffs(grid.L, coeffs)
-
-
-def dh_inverse_direct(coeffs: HarmonicCoeffs, L: int | None = None) -> SphereSignal:
-    """Reference inverse path: dense synthesis matrix applied to coefficients."""
-    return inverse_direct(checked_grid(GridKind.DH, coeffs, L), coeffs)

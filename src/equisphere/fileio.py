@@ -27,12 +27,11 @@ comment.  Result CSVs carry one row per (kind, domain, ratio) cell.
 from __future__ import annotations
 
 import struct
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .inpaint import ExperimentCell, ExperimentConfig, SolveDomain
+from .inpaint import ExperimentCell, ExperimentConfig
 from .samples import GridKind, HarmonicCoeffs, SphereSignal, as_kind, make_grid
 
 __all__ = [
@@ -263,6 +262,23 @@ def _split_list(value: str) -> list[str]:
     return [v.strip() for v in value.split(",") if v.strip()]
 
 
+# config key -> converter of its value, which sets the ExperimentConfig field
+# of the same name; ``signal_coeffs`` (a coefficient file) sets ``coeffs``
+_CONFIG_KEYS = {
+    "L": int,
+    "kinds": lambda v: tuple(as_kind(k) for k in _split_list(v)),
+    "domains": lambda v: tuple(_split_list(v)),
+    "ratios": lambda v: tuple(float(r) for r in _split_list(v)),
+    "trials": int,
+    "sigma_rel": float,
+    "seed": int,
+    "max_iter": int,
+    "tol": float,
+    "smoothing": float,
+    "out": str,
+}
+
+
 def parse_experiment_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
     """Parse a flat ``key=value`` experiment config."""
     fields: dict = {}
@@ -274,49 +290,19 @@ def parse_experiment_config(text: str, base_dir: Path | None = None) -> Experime
             raise FormatError(f"config line {lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         fields[key] = value
-    config = ExperimentConfig()
+    unknown = sorted(set(fields) - set(_CONFIG_KEYS) - {"signal_coeffs"})
+    if unknown:
+        raise FormatError(f"unknown config keys: {unknown}")
     try:
-        if "L" in fields:
-            config = replace(config, L=int(fields.pop("L")))
-        if "kinds" in fields:
-            config = replace(
-                config,
-                kinds=tuple(as_kind(k) for k in _split_list(fields.pop("kinds"))),
-            )
-        if "domains" in fields:
-            domains = tuple(_split_list(fields.pop("domains")))
-            for d in domains:
-                if d not in SolveDomain.ALL:
-                    raise ValueError(f"unknown solve domain {d!r}")
-            config = replace(config, domains=domains)
-        if "ratios" in fields:
-            config = replace(
-                config,
-                ratios=tuple(float(r) for r in _split_list(fields.pop("ratios"))),
-            )
-        if "trials" in fields:
-            config = replace(config, trials=int(fields.pop("trials")))
-        if "sigma_rel" in fields:
-            config = replace(config, sigma_rel=float(fields.pop("sigma_rel")))
-        if "seed" in fields:
-            config = replace(config, seed=int(fields.pop("seed")))
-        if "max_iter" in fields:
-            config = replace(config, max_iter=int(fields.pop("max_iter")))
-        if "tol" in fields:
-            config = replace(config, tol=float(fields.pop("tol")))
-        if "smoothing" in fields:
-            config = replace(config, smoothing=float(fields.pop("smoothing")))
-        if "signal_coeffs" in fields:
-            coeff_path = Path(fields.pop("signal_coeffs"))
-            if base_dir is not None and not coeff_path.is_absolute():
-                coeff_path = base_dir / coeff_path
-            config = replace(config, coeffs=read_coeffs(coeff_path))
-        if "out" in fields:
-            config = replace(config, out=fields.pop("out"))
+        values = {k: _CONFIG_KEYS[k](v) for k, v in fields.items() if k in _CONFIG_KEYS}
     except ValueError as err:
         raise FormatError(f"bad config value: {err}") from None
-    if fields:
-        raise FormatError(f"unknown config keys: {sorted(fields)}")
+    if "signal_coeffs" in fields:
+        coeff_path = Path(fields["signal_coeffs"])
+        if base_dir is not None and not coeff_path.is_absolute():
+            coeff_path = base_dir / coeff_path
+        values["coeffs"] = read_coeffs(coeff_path)
+    config = ExperimentConfig(**values)
     try:
         config.validate()
     except ValueError as err:

@@ -460,9 +460,10 @@ def _solve(problem: InpaintProblem, max_iter: int, tol: float) -> SolveResult:
 
     feas_bound = eps * (1.0 + _FEAS_RTOL)
     exact_fit = eps == 0.0
-    # With eps = 0 the iterates can only approach the constraint, so
-    # candidates are corrected onto it: masked entries are reinserted
-    # directly; in the harmonic domain the correction is the least-squares
+    # Candidates are corrected onto the constraint.  In the spatial domain the
+    # masked entries are moved onto the eps-ball around y, which for eps = 0
+    # reinserts y itself.  With eps = 0 the harmonic iterates can only
+    # approach the constraint, so there the correction is the least-squares
     # solution inside the subspace, applied through the SVD factors of the
     # basis' masked rows (negligible singular values dropped) and lifted back
     # through the per-order synthesis, leaving machine-level residue that is
@@ -473,22 +474,15 @@ def _solve(problem: InpaintProblem, max_iter: int, tol: float) -> SolveResult:
         keep = s > s[0] * max(mask.size, grid.L * grid.L) * np.finfo(float).eps
         u, s, vt = u[:, keep], s[keep], vt[keep]
         fit_correct = lambda r: basis.lift(vt.T @ ((u.T @ r) / s))
-    elif exact_fit:
-        def fit_correct(r):
-            out = np.zeros(grid.n_samples)
-            out[mask] = r
-            return out
 
     def candidate(z, r, d):
         if d <= feas_bound:
             return z
-        if exact_fit:
-            return z + fit_correct(r)
-        if not harmonic:
-            np.copyto(cand_buf, z)
-            cand_buf[mask] = y - (eps / d) * r
-            return cand_buf
-        return z  # noisy harmonic iterates enter the slack band on their own
+        if harmonic:  # noisy harmonic iterates enter the slack band on their own
+            return z + fit_correct(r) if exact_fit else z
+        np.copyto(cand_buf, z)
+        cand_buf[mask] = y - (eps / d) * r  # d > feas_bound >= 0
+        return cand_buf
 
     def tv_of(z):
         return _tv_total(tv_apply_raw(grid, scales, z, out=grad, full=full), out=full)

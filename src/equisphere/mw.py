@@ -22,8 +22,8 @@ exact forward transform at ``O(L**3)`` cost, for ``L <= 1024`` (the Delta
 recursion's range).  The inverse takes the torus coefficients from
 :func:`~equisphere.wigner.delta_inverse`, applies the half-sample phase and
 ends with an inverse 2-D FFT onto the sample grid.  Only spin zero (scalar)
-signals are supported.  Entry checks, per-sample weights and the dense
-reference inverse are the ones shared with DH (``samples``, ``wigner``).
+signals are supported.  Entry checks and per-sample weights are shared
+with DH through ``samples``, the Delta engine through ``wigner``.
 """
 
 from __future__ import annotations
@@ -45,17 +45,14 @@ from .samples import (
     frozen_array,
     sample_weights,
 )
-from .wigner import check_delta_bandlimit, delta_forward, delta_inverse, inverse_direct
+from .wigner import check_delta_bandlimit, delta_forward, delta_inverse
 
 __all__ = [
     "MwWeights",
-    "TorusSpectrum",
     "mw_weights",
-    "mw_torus_spectrum",
     "mw_forward",
     "mw_inverse",
     "mw_integrate",
-    "mw_inverse_direct",
     "mw_sample_weights",
 ]
 
@@ -76,33 +73,14 @@ def _weight_fn(mp: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MwWeights:
-    """Convolution weights ``w``, their transform ``v``, and the row rule ``q``.
-
-    ``w`` spans ``m' = -2(L-1) .. 2(L-1)`` (entry ``m' + 2(L-1)``), ``v``
-    covers the ``2L - 1`` extended colatitude nodes, and ``q`` holds the
-    explicit per-row quadrature weights for the ``L`` sphere rows.
-    """
+    """Per-latitude-row quadrature weights ``q(theta_t)``, ``t < L``."""
 
     kind: ClassVar[GridKind] = GridKind.MW
     L: int
-    w: np.ndarray
-    v: np.ndarray
     q: np.ndarray
 
     def __post_init__(self):
-        for name, n, dtype in (
-            ("w", 4 * self.L - 3, np.complex128),
-            ("v", 2 * self.L - 1, np.complex128),
-            ("q", self.L, np.float64),
-        ):
-            arr = frozen_array(getattr(self, name), n, name, dtype)
-            object.__setattr__(self, name, arr)
-
-    def weight(self, mp: int) -> complex:
-        """``w(m')`` for ``|m'| <= 2(L-1)``."""
-        if abs(mp) > 2 * (self.L - 1):
-            raise ValueError(f"m'={mp} outside tabulated range for L={self.L}")
-        return complex(self.w[mp + 2 * (self.L - 1)])
+        object.__setattr__(self, "q", frozen_array(self.q, self.L, "q", np.float64))
 
 
 def mw_weights(L: int) -> MwWeights:
@@ -114,7 +92,6 @@ def mw_weights(L: int) -> MwWeights:
     """
     L = check_bandlimit(L)
     n = 2 * L - 1
-    w = _weight_fn(np.arange(-2 * (L - 1), 2 * (L - 1) + 1))
     mp = np.arange(-(L - 1), L)
     theta_ext = np.pi * (2 * np.arange(n) + 1) / n
     v = np.exp(1j * np.outer(theta_ext, mp)) @ _weight_fn(-mp) / n
@@ -125,28 +102,11 @@ def mw_weights(L: int) -> MwWeights:
             f"MW weights have imaginary residue {np.abs(q.imag).max():.3e} "
             f"above {_IMAG_TOL:.0e}; convention error likely"
         )
-    return MwWeights(L, w, v, q.real)
+    return MwWeights(L, q.real)
 
 
-@dataclass(frozen=True)
-class TorusSpectrum:
-    """Intermediate Fourier data of the forward chain.
-
-    ``g`` has shape ``(L, 2L-1)`` with rows indexed by ``t`` and columns by
-    centered order ``m`` (entry ``m + L - 1``); ``g_ext`` extends the rows
-    to the ``2L - 1`` torus nodes; ``f_mm`` and ``g_mm`` are indexed
-    ``[m + L - 1, m' + L - 1]``.
-    """
-
-    L: int
-    g: np.ndarray
-    g_ext: np.ndarray
-    f_mm: np.ndarray
-    g_mm: np.ndarray
-
-
-def mw_torus_spectrum(signal: SphereSignal) -> TorusSpectrum:
-    """Run steps 1-4 of the forward chain and keep the intermediates."""
+def _torus_spectrum(signal: SphereSignal) -> np.ndarray:
+    """Steps 1-4 of the forward chain: ``G_{mm'}``, indexed ``[m + L - 1, m' + L - 1]``."""
     grid = checked_grid(GridKind.MW, signal)
     L = grid.L
     n = 2 * L - 1
@@ -159,8 +119,7 @@ def mw_torus_spectrum(signal: SphereSignal) -> TorusSpectrum:
     f_mm = farr.T * np.exp(-1j * np.pi * mp / n)[None, :] / (2 * np.pi * n)
     w = _weight_fn(np.arange(1 - n, n))  # entry m'' - m' + n - 1
     toeplitz = w[np.subtract.outer(np.arange(n - 1, 2 * n - 1), np.arange(n))]
-    g_mm = 2 * np.pi * (f_mm @ toeplitz)
-    return TorusSpectrum(L, g, g_ext, f_mm, g_mm)
+    return 2 * np.pi * (f_mm @ toeplitz)
 
 
 def mw_forward(signal: SphereSignal) -> HarmonicCoeffs:
@@ -168,9 +127,8 @@ def mw_forward(signal: SphereSignal) -> HarmonicCoeffs:
 
     Exact (to rounding) for signals band-limited at the grid's ``L``.
     """
-    check_delta_bandlimit(signal.grid.L)
-    spectrum = mw_torus_spectrum(signal)
-    return HarmonicCoeffs(spectrum.L, delta_forward(spectrum.g_mm, spectrum.L))
+    L = check_delta_bandlimit(signal.grid.L)
+    return HarmonicCoeffs(L, delta_forward(_torus_spectrum(signal), L))
 
 
 def mw_inverse(coeffs: HarmonicCoeffs, L: int | None = None) -> SphereSignal:
@@ -197,8 +155,3 @@ def mw_integrate(signal: SphereSignal) -> complex:
     """
     grid = checked_grid(GridKind.MW, signal)
     return complex(mw_sample_weights(grid) @ signal.values)
-
-
-def mw_inverse_direct(coeffs: HarmonicCoeffs, L: int | None = None) -> SphereSignal:
-    """Reference inverse path: dense synthesis matrix applied to coefficients."""
-    return inverse_direct(checked_grid(GridKind.MW, coeffs, L), coeffs)

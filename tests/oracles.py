@@ -18,11 +18,17 @@ solver projected with before it worked one order at a time.
 before they took slice differences into reused buffers: separate row
 factors, ``np.roll`` along longitude, new arrays on every call; tests
 require the buffered kernels to match them bit for bit.
+``legendre`` and ``ylm`` evaluate one harmonic at one point,
+``build_delta_table`` holds every Delta matrix at once, and
+``ylm_matrix`` with ``inverse_direct`` and ``dh_forward_direct`` are the
+dense O(L**4) transforms; the package streams all of them, and tests hold
+the streams to these forms.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
@@ -294,7 +300,6 @@ def real_synthesis_matrix(grid) -> np.ndarray:
     ``Q`` gives the dense reference ``Q Q^T`` of the band-limit projector.
     """
     from equisphere.samples import conjugate_pairs
-    from equisphere.wigner import ylm_matrix
 
     ymat = ylm_matrix(grid)
     zero, pos, neg, _ = conjugate_pairs(grid.L)
@@ -485,3 +490,148 @@ def mw_delta_contraction_unfolded(g_mm: np.ndarray, L: int) -> np.ndarray:
             * np.einsum("am,ma->m", weighted, block)
         )
     return coeffs
+
+
+# Scalar harmonics, the full Delta table and the dense transforms.  The
+# package streams all three; these are the per-point and dense forms the
+# tests compare the streams with.
+
+_INV_SQRT_4PI = 0.5 / math.sqrt(math.pi)
+
+
+def legendre(el: int, m: int, x: float) -> float:
+    """Associated Legendre function ``P_l^m(x)`` with Condon-Shortley phase.
+
+    Args:
+        el: Degree, ``el >= 0``.
+        m: Order, ``0 <= m <= el``.
+        x: Argument in ``[-1, 1]``.
+
+    Returns:
+        ``P_l^m(x)`` including the ``(-1)**m`` factor.
+    """
+    if el < 0 or not 0 <= m <= el:
+        raise ValueError(f"invalid Legendre index (el={el}, m={m})")
+    if not -1.0 <= x <= 1.0:
+        raise ValueError(f"Legendre argument must lie in [-1, 1], got {x!r}")
+    # P_m^m = (-1)^m (2m-1)!! (1-x^2)^{m/2}, then upward in degree.
+    pmm = 1.0
+    if m > 0:
+        s = math.sqrt((1.0 - x) * (1.0 + x))
+        for k in range(1, m + 1):
+            pmm *= -(2 * k - 1) * s
+    if el == m:
+        return pmm
+    pm1 = x * (2 * m + 1) * pmm
+    if el == m + 1:
+        return pm1
+    for ell in range(m + 2, el + 1):
+        pm1, pmm = (
+            (x * (2 * ell - 1) * pm1 - (ell + m - 1) * pmm) / (ell - m),
+            pm1,
+        )
+    return pm1
+
+
+def _norm_theta_profile(el: int, m: int, x: float) -> float:
+    # sqrt((2l+1)/(4pi) (l-m)!/(l+m)!) P_l^m(x) for m >= 0, via the
+    # normalized recurrence (no factorials).
+    s = math.sqrt((1.0 - x) * (1.0 + x))
+    pmm = _INV_SQRT_4PI
+    for k in range(1, m + 1):
+        pmm *= -math.sqrt((2 * k + 1) / (2.0 * k)) * s
+    if el == m:
+        return pmm
+    pm1 = x * math.sqrt(2.0 * m + 3.0) * pmm
+    if el == m + 1:
+        return pm1
+    for ell in range(m + 2, el + 1):
+        a = math.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
+        b = math.sqrt(((ell - 1.0) ** 2 - m * m) / (4.0 * (ell - 1.0) ** 2 - 1.0))
+        pm1, pmm = a * (x * pm1 - b * pmm), pm1
+    return pm1
+
+
+def ylm(el: int, m: int, theta: float, phi: float) -> complex:
+    """Spherical harmonic ``Y_lm`` at a point, any ``|m| <= el``.
+
+    Negative orders use ``Y_{l,-m} = (-1)**m conj(Y_lm)``.
+    """
+    if el < 0 or abs(m) > el:
+        raise ValueError(f"invalid harmonic index (el={el}, m={m})")
+    am = abs(m)
+    profile = _norm_theta_profile(el, am, math.cos(theta))
+    phase = complex(math.cos(am * phi), math.sin(am * phi))
+    val = profile * phase
+    if m < 0:
+        val = (-1) ** am * np.conj(val)
+    return complex(val)
+
+
+def ylm_matrix(grid) -> np.ndarray:
+    """Dense synthesis matrix ``Y[i, flat_index(l, m)] = Y_lm(node_i)``.
+
+    Multiplying a flat coefficient vector by this matrix evaluates the
+    band-limited expansion at every stored sample, which is the inverse
+    transform written as a single dense operator.
+    """
+    from equisphere.samples import node_angles
+    from equisphere.wigner import ylm_points
+
+    th, ph = node_angles(grid)
+    return ylm_points(grid.L, np.cos(th), ph)
+
+
+def inverse_direct(grid, coeffs):
+    """Inverse transform onto ``grid``: the dense synthesis matrix applied to coefficients."""
+    from equisphere.samples import SphereSignal
+
+    return SphereSignal(grid, ylm_matrix(grid) @ coeffs.values)
+
+
+def dh_forward_direct(signal):
+    """DH forward transform as one dense quadrature sum per coefficient, O(L**4)."""
+    from equisphere.dh import dh_sample_weights
+    from equisphere.samples import HarmonicCoeffs
+
+    grid = signal.grid
+    w = dh_sample_weights(grid)
+    return HarmonicCoeffs(grid.L, ylm_matrix(grid).conj().T @ (w * signal.values))
+
+
+@dataclass(frozen=True)
+class DeltaTable:
+    """Wigner small-d values at ``beta = pi/2`` for all degrees below ``L``.
+
+    ``slice(el)`` has shape ``(2 el + 1, 2 el + 1)`` and is indexed by
+    ``[m + el, n + el]``.
+    """
+
+    L: int
+    _slices: tuple
+
+    def slice(self, el: int) -> np.ndarray:
+        if not 0 <= el < self.L:
+            raise ValueError(f"degree {el} outside table range [0, {self.L})")
+        return self._slices[el]
+
+    def value(self, el: int, m: int, n: int) -> float:
+        if abs(m) > el or abs(n) > el:
+            raise ValueError(f"invalid orders (m={m}, n={n}) for degree {el}")
+        return float(self.slice(el)[m + el, n + el])
+
+
+def build_delta_table(L: int) -> DeltaTable:
+    """All ``d^l_{mn}(pi/2)``, ``l < L``, in ``O(L**3)`` memory: the package's
+    quadrant stream expanded by ``d^l_{m,-n} = (-1)**(l+m) d^l_{mn}`` and
+    ``d^l_{-m,n} = (-1)**(m+n) d^l_{m,-n}``."""
+    from equisphere.wigner import delta_quadrants
+
+    slices = []
+    for el, quad in enumerate(delta_quadrants(L)):
+        ms = np.arange(-el, el + 1)
+        half = quad[:, np.abs(ms)] * np.where(ms < 0, (-1.0) ** (el + ms[el:, None]), 1.0)
+        full = np.vstack([(-1.0) ** (ms[:el, None] + ms) * half[:0:-1, ::-1], half])
+        full.flags.writeable = False
+        slices.append(full)
+    return DeltaTable(len(slices), tuple(slices))

@@ -13,6 +13,7 @@ from equisphere.fileio import (
     FormatError,
     parse_experiment_config,
     read_coeffs,
+    read_experiment_config,
     read_signal,
     write_coeffs,
     write_result_csv,
@@ -174,13 +175,37 @@ class TestExperimentConfig:
             seed = 7
             max_iter = 1234
             tol = 1e-4
+            smoothing = 0.125
+            out = sweep.csv
             """
         )
         assert cfg.L == 16
         assert cfg.kinds == (GridKind.DH, GridKind.MW)
+        assert cfg.domains == ("spatial", "harmonic")
         assert cfg.ratios == (0.5, 1.0)
         assert cfg.trials == 3
+        assert cfg.sigma_rel == 0.02
+        assert cfg.seed == 7
         assert cfg.max_iter == 1234
+        assert cfg.tol == 1e-4
+        assert cfg.smoothing == 0.125
+        assert cfg.out == "sweep.csv"
+        assert cfg.coeffs is None
+
+    def test_read_resolves_signal_coeffs_next_to_config(self, tmp_path, monkeypatch, rng):
+        coeffs = random_coeffs(4, rng)
+        conf_dir = tmp_path / "conf"
+        conf_dir.mkdir()
+        write_coeffs(conf_dir / "sig.coef", coeffs)
+        (conf_dir / "run.cfg").write_text("L = 4\nsignal_coeffs = sig.coef\n")
+        monkeypatch.chdir(tmp_path)  # the relative path does not exist from here
+        cfg = read_experiment_config(conf_dir / "run.cfg")
+        assert cfg.coeffs.L == 4
+        assert np.array_equal(cfg.coeffs.values, coeffs.values)
+
+    def test_rejects_unknown_domain(self):
+        with pytest.raises(FormatError, match="unknown solve domain"):
+            parse_experiment_config("domains = spatial, frequency\n")
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(FormatError):
@@ -351,6 +376,19 @@ class TestCli:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("L = 8\nratios =\n")
         assert main(["experiment", str(cfg)]) == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["make-signal", "--kind", "mw"], ["weights", "--kind", "dh"]]
+    )
+    def test_oversized_bandlimit_exit_2(self, tmp_path, capsys, argv):
+        # each command's O(L**2) array is over 128 TiB here, so numpy refuses
+        # it at once; the O(L) arrays made before it stay below 1 GB
+        argv = [*argv, "-L", "10000000", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     @staticmethod
     def _nan_file(tmp_path, kind, binary):

@@ -6,12 +6,12 @@ import pytest
 
 from equisphere.dh import dh_forward, dh_inverse
 from equisphere.mw import (
+    _torus_spectrum,
+    _weight_fn,
     mw_forward,
     mw_integrate,
     mw_inverse,
-    mw_inverse_direct,
     mw_sample_weights,
-    mw_torus_spectrum,
     mw_weights,
 )
 from equisphere.samples import (
@@ -24,31 +24,31 @@ from equisphere.samples import (
     random_coeffs,
     sample_count,
 )
-from equisphere.wigner import ylm
 
 import oracles
+from oracles import inverse_direct, ylm, ylm_matrix
+
+
+def _w(mp: int) -> complex:
+    return complex(_weight_fn(np.array([mp]))[0])
 
 
 class TestWeights:
     def test_tabulated_values(self):
-        w = mw_weights(3)
-        assert w.weight(0) == 2.0
-        assert w.weight(1) == pytest.approx(0.5j * np.pi)
-        assert w.weight(-1) == pytest.approx(-0.5j * np.pi)
-        assert w.weight(3) == 0.0
-        assert w.weight(2) == pytest.approx(-2 / 3)
-        with pytest.raises(ValueError):
-            w.weight(5)
+        assert _w(0) == 2.0
+        assert _w(1) == pytest.approx(0.5j * np.pi)
+        assert _w(-1) == pytest.approx(-0.5j * np.pi)
+        assert _w(3) == 0.0
+        assert _w(2) == pytest.approx(-2 / 3)
 
     def test_weight_integral_definition(self):
         # w(m') = int_0^pi sin(theta) e^{i m' theta} dtheta
-        w = mw_weights(5)
         for mp in range(-8, 9):
             val = oracles.sphere_integral_refined(
                 lambda th, ph: np.exp(1j * mp * th) + 0 * ph,
                 n_theta=1 << 20, n_phi=4,
             ) / (2 * np.pi)
-            assert w.weight(mp) == pytest.approx(val, abs=1e-10)
+            assert _w(mp) == pytest.approx(val, abs=1e-10)
 
     def test_q_real_and_finite(self):
         for L in (1, 2, 3, 9, 64):
@@ -110,33 +110,12 @@ class TestForward:
     def test_forward_as_least_squares(self):
         # exact coefficients are also the least-squares solution against
         # the dense synthesis matrix (independent of the FFT chain)
-        from equisphere.wigner import ylm_matrix
-
         rng = np.random.default_rng(21)
         x = random_coeffs(6, rng)
         sig = mw_inverse(x)
         sol, *_ = np.linalg.lstsq(ylm_matrix(sig.grid), sig.values, rcond=None)
         assert np.abs(sol - x.values).max() < 1e-9
         assert np.abs(mw_forward(sig).values - sol).max() < 1e-9
-
-
-class TestTorusSpectrum:
-    def test_extension_symmetry(self):
-        rng = np.random.default_rng(22)
-        sig = mw_inverse(random_coeffs(6, rng))
-        ts = mw_torus_spectrum(sig)
-        L = 6
-        par = (-1.0) ** np.abs(np.arange(-(L - 1), L))
-        for t in range(L - 1):
-            assert np.array_equal(ts.g_ext[2 * L - 2 - t], par * ts.g_ext[t])
-
-    def test_shapes(self):
-        g = make_grid("mw", 5)
-        ts = mw_torus_spectrum(SphereSignal(g, np.zeros(g.n_samples)))
-        assert ts.g.shape == (5, 9)
-        assert ts.g_ext.shape == (9, 9)
-        assert ts.f_mm.shape == (9, 9)
-        assert ts.g_mm.shape == (9, 9)
 
 
 class TestInverse:
@@ -159,7 +138,8 @@ class TestInverse:
     def test_matches_direct_synthesis(self):
         rng = np.random.default_rng(23)
         x = random_coeffs(9, rng)
-        assert np.abs(mw_inverse(x).values - mw_inverse_direct(x).values).max() < 1e-11
+        direct = inverse_direct(make_grid("mw", 9), x)
+        assert np.abs(mw_inverse(x).values - direct.values).max() < 1e-11
 
     def test_bandlimit_mismatch(self):
         with pytest.raises(GridMismatchError):
@@ -250,7 +230,8 @@ class TestFoldedContraction:
     def test_inverse_matches_direct_synthesis(self, L):
         rng = np.random.default_rng(300 + L)
         x = random_coeffs(L, rng)
-        assert np.abs(mw_inverse(x).values - mw_inverse_direct(x).values).max() < 1e-12
+        direct = inverse_direct(make_grid("mw", L), x)
+        assert np.abs(mw_inverse(x).values - direct.values).max() < 1e-12
 
     @pytest.mark.parametrize("L", [1, 2, 3, 8, 9])
     def test_forward_matches_unfolded_contraction(self, L):
@@ -261,7 +242,7 @@ class TestFoldedContraction:
         sig = SphereSignal(
             g, rng.standard_normal(g.n_samples) + 1j * rng.standard_normal(g.n_samples)
         )
-        expect = oracles.mw_delta_contraction_unfolded(mw_torus_spectrum(sig).g_mm, L)
+        expect = oracles.mw_delta_contraction_unfolded(_torus_spectrum(sig), L)
         assert np.abs(mw_forward(sig).values - expect).max() < 1e-12
 
     def test_roundtrip_at_512(self):

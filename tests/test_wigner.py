@@ -7,17 +7,10 @@ from scipy.special import sph_harm_y
 from equisphere.dh import dh_sample_weights
 from equisphere.mw import mw_sample_weights
 from equisphere.samples import flat_index, make_grid, node_angles, theta_nodes
-from equisphere.wigner import (
-    build_delta_table,
-    delta_quadrants,
-    legendre,
-    legendre_degrees,
-    norm_legendre_tables,
-    ylm,
-    ylm_matrix,
-)
+from equisphere.wigner import delta_quadrants, legendre_degrees, norm_legendre_tables
 
 import oracles
+from oracles import build_delta_table, legendre, ylm, ylm_matrix
 
 
 class TestLegendre:
