@@ -2,8 +2,10 @@
 
 Commands: ``forward``, ``inverse``, ``weights``, ``tv-norm``, ``integrate``,
 ``make-signal``, ``experiment``.  Exit codes: 0 success, 2 parse or
-validation failure (a band-limit too large for memory included), 3
-grid/band-limit contract violation, 4 every experiment cell failed.
+validation failure (a band-limit too large for memory included; ``weights``
+and ``make-signal`` refuse one above the transforms' 1024 before allocating
+anything), 3 grid/band-limit contract violation, 4 every experiment cell
+failed.
 Result files never contain timestamps or other nondeterministic content;
 wall time lives in the experiment manifest.
 """
@@ -23,6 +25,7 @@ from .inpaint import make_cap_signal, run_experiment
 from .samples import GridMismatchError, make_grid, theta_nodes
 from .transforms import forward, integrate, inverse, row_weights
 from .tv import tv_norm
+from .wigner import check_delta_bandlimit
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -44,7 +47,7 @@ def _cmd_inverse(args) -> int:
 
 
 def _cmd_weights(args) -> int:
-    grid = make_grid(args.kind, args.bandlimit)
+    grid = make_grid(args.kind, check_delta_bandlimit(args.bandlimit))
     fileio.write_weights_csv(args.out, theta_nodes(grid), row_weights(grid))
     return EXIT_OK
 
@@ -89,7 +92,7 @@ def _parse_caps(spec: str):
 
 
 def _cmd_make_signal(args) -> int:
-    grid = make_grid(args.kind, args.bandlimit)
+    grid = make_grid(args.kind, check_delta_bandlimit(args.bandlimit))
     caps = _parse_caps(args.caps) if args.caps else None
     kwargs = {} if caps is None else {"caps": caps}
     if args.smoothing is not None:

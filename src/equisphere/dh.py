@@ -74,10 +74,12 @@ class DhWeights:
 def dh_weights(L: int) -> DhWeights:
     """Quadrature weights for the DH grid at band-limit ``L``."""
     L = check_bandlimit(L)
-    theta = theta_nodes(make_grid(GridKind.DH, L))
-    k = 2 * np.arange(L) + 1
-    # sum_k sin((2k+1) theta) / (2k+1), one row per theta
-    s = (np.sin(np.outer(theta, k)) / k).sum(axis=1)
+    theta = theta_nodes(make_grid(GridKind.DH, L))  # pi t / 2L, t < 2L
+    # sum_{k<L} sin((2k+1) theta_t) / (2k+1) = Im(e^{i theta_t} sum_k e^{2 pi i k t / 2L}
+    # / (2k+1)): one inverse FFT of length 2L
+    inv_odd = np.zeros(2 * L)
+    inv_odd[:L] = 1.0 / (2 * np.arange(L) + 1)
+    s = (np.exp(1j * theta) * np.fft.ifft(inv_odd) * (2 * L)).imag
     q = (2 * np.pi / L**2) * np.sin(theta) * s
     return DhWeights(L, q)
 

@@ -93,8 +93,9 @@ def mw_weights(L: int) -> MwWeights:
     L = check_bandlimit(L)
     n = 2 * L - 1
     mp = np.arange(-(L - 1), L)
-    theta_ext = np.pi * (2 * np.arange(n) + 1) / n
-    v = np.exp(1j * np.outer(theta_ext, mp)) @ _weight_fn(-mp) / n
+    # theta_t = pi (2t + 1) / n on the extended axis, so e^{i m' theta_t} is the
+    # half-sample phase e^{i pi m' / n} times a length n inverse DFT kernel
+    v = np.fft.ifft(np.fft.ifftshift(_weight_fn(-mp) * np.exp(1j * np.pi * mp / n)))
     t = np.arange(L)
     q = (2 * np.pi / n) * (v[:L] + np.where(t == L - 1, 0, v[2 * L - 2 - t]))
     if np.abs(q.imag).max() > _IMAG_TOL:

@@ -58,6 +58,11 @@ class TestWeights:
             expect = 2 * np.pi / L if el == 0 else 0.0
             assert val == pytest.approx(expect, abs=1e-10)
 
+    @pytest.mark.parametrize("L", [1, 2, 3, 33, 256, 1024])
+    def test_fft_matches_dense_sum(self, L):
+        q, expect = dh_weights(L).q, oracles.dh_weights_dense(L)
+        assert np.abs(q - expect).max() <= 1e-14 * np.abs(expect).max()
+
 
 class TestForward:
     def test_constant_signal(self):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -389,6 +390,26 @@ class TestCli:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["make-signal", "--kind", "mw", "--coeffs-out", "coef"], ["weights", "--kind", "dh"]],
+    )
+    def test_bandlimit_above_delta_range_refused_before_work(self, tmp_path, capsys, argv):
+        argv = [str(tmp_path / a) if a == "coef" else a for a in argv]
+        argv = [*argv, "-L", "1025", "--out", str(tmp_path / "out")]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "1024" in captured.err
+        assert captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+        assert peak < 1e6  # an L = 1025 weight table or coefficient set is not built
 
     @staticmethod
     def _nan_file(tmp_path, kind, binary):

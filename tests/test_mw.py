@@ -65,6 +65,11 @@ class TestWeights:
         w = mw_weights(1)
         assert w.q[0] == pytest.approx(4 * np.pi, abs=1e-12)
 
+    @pytest.mark.parametrize("L", [1, 2, 3, 33, 256, 1024])
+    def test_fft_matches_dense_sum(self, L):
+        q, expect = mw_weights(L).q, oracles.mw_weights_dense(L)
+        assert np.abs(q - expect).max() <= 1e-14 * np.abs(expect).max()
+
 
 class TestForward:
     def test_constant_signal(self):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ from scipy.special import sph_harm_y
 from equisphere.dh import dh_sample_weights
 from equisphere.mw import mw_sample_weights
 from equisphere.samples import flat_index, make_grid, node_angles, theta_nodes
-from equisphere.wigner import delta_quadrants, legendre_degrees, norm_legendre_tables
+from equisphere import wigner
+from equisphere.wigner import legendre_degrees, norm_legendre_tables
 
 import oracles
-from oracles import build_delta_table, legendre, ylm, ylm_matrix
+from oracles import build_delta_table, delta_quadrants, legendre, ylm, ylm_matrix
 
 
 class TestLegendre:
@@ -233,6 +235,67 @@ class TestDeltaQuadrants:
             build_delta_table(4096)
         with pytest.raises(ValueError):
             next(delta_quadrants(0))
+
+
+def _triangles(L):
+    """``(l, E^l)`` with ``E^l_{mn} = (-1)**m d^l_{mn}(pi/2)`` unpacked from the
+    package's stream, after checking that its entries past degree ``l`` are zero."""
+    for el, tri in enumerate(wigner._delta_triangles(L)):
+        size = (el + 1) * (el + 2) // 2
+        assert tri.shape == (L * (L + 1) // 2,)
+        assert not tri[size:].any()
+        yield el, oracles.unpack_triangle(tri, el)
+
+
+class TestPackedTriangle:
+    def test_exhaustive_against_exact(self):
+        for el, e in _triangles(13):
+            for m in range(el + 1):
+                for n in range(el + 1):
+                    assert e[m, n] == pytest.approx(
+                        (-1) ** m * oracles.delta_exact(el, m, n), abs=5e-14
+                    )
+
+    def test_matches_risbo_composition(self):
+        L = 256
+        worst = 0.0
+        for (el, e), full in zip(_triangles(L), oracles.risbo_delta_slices(L)):
+            sign = (-1.0) ** np.arange(el + 1)
+            worst = max(worst, np.abs(sign[:, None] * e - full[el:, el:]).max())
+        assert el == L - 1
+        assert worst < 1e-13
+
+    def test_corner_seed_is_exact(self):
+        for el, tri in enumerate(wigner._delta_triangles(40)):
+            assert tri[(el + 1) * (el + 2) // 2 - 1] == (-1) ** el * 2.0**-el
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 8, 64, 256])
+    def test_weights_match_quadrant_oracle(self, L):
+        expect = {el: w.copy() for el, w in oracles.contraction_weights_from_quadrants(L)}
+        for p, degrees, w in wigner._weight_batches(L):
+            assert len(degrees) == w.shape[0] <= 8
+            assert w.shape[1:] == (degrees[-1] + 1, degrees[-1] // 2 + 1)
+            for i, el in enumerate(degrees):
+                assert el % 2 == p
+                got = w[i].copy()
+                assert np.abs(got[: el + 1, : el // 2 + 1] - expect.pop(el)).max() <= 1e-15
+                got[: el + 1, : el // 2 + 1] = 0.0
+                assert not got.any()  # zero past the degree, as the batched products need
+        assert not expect  # every degree came once
+
+    def test_supported_range(self):
+        tracemalloc.start()
+        try:
+            for gen in (wigner._delta_triangles, wigner._weight_batches):
+                with pytest.raises(ValueError, match="up to 1024"):
+                    next(gen(1025))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6  # refused before any table or buffer is built
+        for transform in (wigner.delta_forward, wigner.delta_inverse):
+            with pytest.raises(ValueError, match="up to 1024"):
+                transform(np.zeros(1), 1025)
 
 
 class TestYlmMatrix:
