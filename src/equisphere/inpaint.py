@@ -52,7 +52,7 @@ from .samples import (
 )
 from .transforms import forward, inverse
 from .tv import _row_scales, _tv_total, tv_adjoint_raw, tv_apply_raw
-from .wigner import legendre_degrees, norm_legendre_tables, ylm_points
+from .wigner import norm_legendre_tables, ylm_points
 
 __all__ = [
     "SolveDomain",
@@ -200,7 +200,9 @@ def make_cap_signal(
     ``(theta, phi)`` with the given amplitude.  Cap coefficients are exact
     (closed-form axisymmetric profile rotated by the addition theorem),
     then low-passed in harmonic space by ``exp(-l (l+1) s**2 / 2)`` and
-    truncated at the grid's band-limit.
+    truncated at the grid's band-limit.  The harmonics at all cap centres
+    come from one Delta stream, so ``L <= 1024``, the limit of the final
+    inverse transform too.
 
     Args:
         grid: Target grid; fixes both the band-limit and the sample layout.
@@ -215,19 +217,19 @@ def make_cap_signal(
     if L < 2:
         raise ValueError("cap signals need a band-limit of at least 2")
     s = 2.5 / L if smoothing is None else float(smoothing)
+    theta_c, phi_c, radius, amp = np.array([tuple(c) for c in caps], dtype=np.float64).reshape(-1, 4).T
+    x0 = np.cos(radius)
+    # P_l(x0), l <= L, by Bonnet's recursion (l + 1) P_{l+1} = (2l + 1) x P_l - l P_{l-1}
+    p = np.ones((L + 1, x0.size))
+    p[1] = x0
+    for el in range(1, L):
+        p[el + 1] = ((2 * el + 1) * x0 * p[el] - el * p[el - 1]) / (el + 1)
+    c = np.empty((L, x0.size))  # per degree and cap: the axisymmetric cap profile
+    c[0] = math.sqrt(math.pi) * (1.0 - x0)
+    c[1:] = np.sqrt(np.pi / (2 * np.arange(1, L) + 1))[:, None] * (p[: L - 1] - p[2:])
+    ybar = np.conj(ylm_points(L, theta_c, phi_c))
     ell_of = np.floor(np.sqrt(np.arange(L * L))).astype(int)
-    ells = np.arange(L + 1)
-    coeffs = np.zeros(L * L, dtype=np.complex128)
-    for theta_c, phi_c, radius, amp in caps:
-        x0 = math.cos(radius)
-        # P_l(x0), l <= L: the normalized m = 0 profile times sqrt(4 pi / (2l + 1))
-        p = np.array([b[0, 0] for b in legendre_degrees(L + 1, [x0])])
-        p *= np.sqrt(4 * np.pi / (2 * ells + 1))
-        c = np.empty(L)
-        c[0] = math.sqrt(math.pi) * (1.0 - x0)
-        c[1:] = np.sqrt(np.pi / (2 * ells[1:L] + 1)) * (p[: L - 1] - p[2:])
-        ybar = np.conj(ylm_points(L, np.array([math.cos(theta_c)]), np.array([phi_c]))[0])
-        coeffs += amp * c[ell_of] * np.sqrt(4 * np.pi / (2 * ell_of + 1)) * ybar
+    coeffs = (amp * c[ell_of] * ybar.T).sum(axis=1) * np.sqrt(4 * np.pi / (2 * ell_of + 1))
     coeffs *= np.exp(-ell_of * (ell_of + 1) * s * s / 2.0)
     hc = HarmonicCoeffs(L, coeffs)
     return inverse(grid.kind, hc, L), hc
@@ -402,9 +404,9 @@ def _subspace_basis(grid: GridDescriptor) -> _OrderBases:
     # the coordinates of _OrderBases._to_orders.
     L, pole = grid.L, grid.pole_row
     theta = theta_nodes(grid)
-    x = np.cos(np.concatenate((np.delete(theta, pole), theta[pole : pole + 1])))
-    tables = norm_legendre_tables(L, x)
-    q = np.zeros((L, x.size, L))
+    theta = np.concatenate((np.delete(theta, pole), theta[pole : pole + 1]))
+    tables = norm_legendre_tables(L, theta)
+    q = np.zeros((L, theta.size, L))
     a0 = tables[0].T.copy()
     a0[:-1] *= math.sqrt(grid.n_phi)
     q[0] = np.linalg.qr(a0)[0]

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .samples import (
     GridDescriptor,
@@ -111,15 +112,18 @@ def _torus_spectrum(signal: SphereSignal) -> np.ndarray:
     grid = checked_grid(GridKind.MW, signal)
     L = grid.L
     n = 2 * L - 1
-    f = expand(signal)
-    g = (2 * np.pi / n) * np.fft.fftshift(np.fft.fft(f, axis=1), axes=1)
+    g = (2 * np.pi / n) * np.fft.fftshift(np.fft.fft(expand(signal), axis=1), axes=1)
     g_ext = np.vstack([g, (-1.0) ** np.abs(np.arange(1 - L, L)) * g[: L - 1][::-1]])
+    del g  # each temporary goes as soon as the next is made, to bound the peak
     # FFT over the extended colatitude axis; half-sample node offset.
     mp = np.arange(-(L - 1), L)
     farr = np.fft.fftshift(np.fft.fft(g_ext, axis=0), axes=0)  # [m', m]
+    del g_ext
     f_mm = farr.T * np.exp(-1j * np.pi * mp / n)[None, :] / (2 * np.pi * n)
+    del farr
     w = _weight_fn(np.arange(1 - n, n))  # entry m'' - m' + n - 1
-    toeplitz = w[np.subtract.outer(np.arange(n - 1, 2 * n - 1), np.arange(n))]
+    # toeplitz[m'', m'] = w(m'' - m'): row m'' of the reversed sliding windows
+    toeplitz = np.ascontiguousarray(sliding_window_view(w[::-1], n)[::-1])
     return 2 * np.pi * (f_mm @ toeplitz)
 
 

@@ -1,4 +1,4 @@
-"""Associated Legendre functions, spherical harmonics, and the Wigner-Delta engine.
+"""Spherical harmonics and the Wigner-Delta engine they are evaluated with.
 
 Spherical harmonics follow the Condon-Shortley phase convention with the
 ``(-1)**m`` factor folded into the associated Legendre functions:
@@ -6,12 +6,7 @@ Spherical harmonics follow the Condon-Shortley phase convention with the
     Y_lm(theta, phi) = sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!)
                        P_l^m(cos theta) exp(i m phi)
 
-and ``Y_{l,-m} = (-1)**m conj(Y_lm)``.  Normalized theta profiles are
-produced by an upward recurrence in degree from the sectoral seed, which
-is stable over the whole supported range; unnormalized ``(l-m)!/(l+m)!``
-factors are never materialized.  :func:`legendre_degrees` streams the
-profiles one degree at a time in ``O(L * len(x))`` working memory;
-:func:`norm_legendre_tables` collects them into per-order tables.
+and ``Y_{l,-m} = (-1)**m conj(Y_lm)``.
 
 Wigner small-d values at ``beta = pi/2`` come from the three-term recurrence
 in degree (Kostelec & Rockmore 2008), run on ``E^l_{mn} = (-1)**m
@@ -32,7 +27,9 @@ signal's Fourier series in ``theta``, continued to ``[0, 2 pi)``):
 returns the torus coefficients ``F_{mm'}`` of an expansion.  Both take the
 contraction weights from :func:`_weight_batches`, gathered from the triangle
 eight degrees of one parity at a time, so each order meets a batch in one
-matrix product.
+matrix product.  The same weights give the normalized theta profiles of
+:func:`norm_legendre_tables` as Delta sums, so this one recursion is the
+package's only special-function engine.
 """
 
 from __future__ import annotations
@@ -48,101 +45,56 @@ __all__ = [
     "check_delta_bandlimit",
     "delta_forward",
     "delta_inverse",
-    "legendre_degrees",
     "norm_legendre_tables",
     "ylm_points",
 ]
 
-_INV_SQRT_4PI = 0.5 / math.sqrt(math.pi)
 
+def norm_legendre_tables(L: int, theta: np.ndarray) -> list[np.ndarray]:
+    """Normalized theta profiles for all degrees below ``L`` at colatitudes ``theta``.
 
-def legendre_degrees(L: int, x: np.ndarray) -> Iterator[np.ndarray]:
-    """Stream normalized theta profiles one degree at a time.
-
-    Runs the normalized three-term recurrence in degree order, vectorised
-    over the order ``m``, in three rotating ``(L, len(x))`` buffers, so the
-    working memory is ``O(L * len(x))`` whatever ``L`` is and nothing is
-    stored between calls.
-
-    Args:
-        L: Band-limit.
-        x: Vector of ``cos(theta)`` values.
-
-    Yields:
-        For ``l = 0 .. L - 1``, an array of shape ``(l + 1, len(x))`` whose
-        row ``m`` holds ``sqrt((2l+1)/(4pi) (l-m)!/(l+m)!) P_l^m(x)``.  The
-        array is a view into a reused buffer: it stays valid until the
-        generator is advanced three more degrees.
-    """
-    L = check_bandlimit(L)
-    x = np.asarray(x, dtype=np.float64)
-    s = np.sqrt((1.0 - x) * (1.0 + x))
-    bufs = [np.empty((L, x.size)) for _ in range(3)]
-    tmp = np.empty((L, x.size))
-    for el in range(L):
-        cur, p1, p2 = bufs[el % 3], bufs[(el - 1) % 3], bufs[(el - 2) % 3]
-        if el == 0:
-            cur[0] = _INV_SQRT_4PI
-        else:
-            k = el - 1  # orders m < l - 1 come from the three-term recurrence
-            m = np.arange(k)
-            a = np.sqrt((4.0 * el * el - 1.0) / (el * el - m * m))
-            e1 = (el - 1.0) ** 2
-            b = np.sqrt((e1 - m * m) / (4.0 * e1 - 1.0))
-            # a (x p_{l-1} - b p_{l-2}) with the operations, and their order,
-            # of the row-by-row recurrence, so the results match it bit for bit
-            np.multiply(x, p1[:k], out=cur[:k])
-            np.multiply(b[:, None], p2[:k], out=tmp[:k])
-            np.subtract(cur[:k], tmp[:k], out=cur[:k])
-            np.multiply(a[:, None], cur[:k], out=cur[:k])
-            # m = l - 1 and m = l from the sectoral profile of degree l - 1
-            cur[k] = x * math.sqrt(2.0 * k + 3.0) * p1[k]
-            cur[el] = p1[k] * (-math.sqrt((2 * el + 1) / (2.0 * el))) * s
-        yield cur[: el + 1]
-
-
-def norm_legendre_tables(L: int, x: np.ndarray) -> list[np.ndarray]:
-    """Normalized theta profiles for all degrees below ``L`` at nodes ``x``.
-
-    Collects :func:`legendre_degrees` into per-order tables, which are
-    consecutive row ranges of one array, so each degree's block is placed
-    with a single indexed assignment.
-
-    Args:
-        L: Band-limit.
-        x: Vector of ``cos(theta)`` values.
+    As ``d^l_{m0}(theta) = i**-m sum_{m'} D^l_{m'm} D^l_{m'0} e^{i m' theta}``,
+    each profile is a contraction weight row of :func:`_weight_batches`
+    applied to ``kappa cos(m' theta)`` for even ``m`` and ``kappa sin(m'
+    theta)`` for odd ``m``, ``kappa = 2`` (1 at ``m' = 0``), with the sign
+    ``(-1)**(m // 2)``.  ``L > 1024`` raises ``ValueError``.
 
     Returns:
         List indexed by order ``m``; entry ``m`` is an array of shape
-        ``(L - m, len(x))`` whose row ``j`` holds
-        ``sqrt((2l+1)/(4pi) (l-m)!/(l+m)!) P_l^m(x)`` for ``l = m + j``.
+        ``(L - m, len(theta))`` whose row ``j`` holds
+        ``sqrt((2l+1)/(4pi) (l-m)!/(l+m)!) P_l^m(cos theta)`` for ``l = m + j``.
     """
-    L = check_bandlimit(L)
-    x = np.asarray(x, dtype=np.float64)
+    L = check_delta_bandlimit(L)
+    theta = np.asarray(theta, dtype=np.float64)
     m = np.arange(L)
+    arg = np.multiply.outer(m, theta)
+    kappa = np.where(m == 0, 1.0, 2.0)[:, None]
+    trig = (kappa * np.cos(arg), kappa * np.sin(arg))  # rows m'; for even, odd m
+    sign = (1.0 - 2.0 * (m // 2 % 2))[:, None]
     start = m * L - m * (m - 1) // 2  # first row of order m's table
-    rows = np.empty((L * (L + 1) // 2, x.size))
-    for el, block in enumerate(legendre_degrees(L, x)):
-        rows[start[: el + 1] + el - m[: el + 1]] = block
+    rows = np.empty((L * (L + 1) // 2, theta.size))
+    for p, degrees, w in _weight_batches(L):
+        k, n, a = w.shape
+        prof = np.empty((k, n, theta.size))
+        for q in (0, 1):
+            np.matmul(w[:, q::2], trig[q][p : p + 2 * a : 2], out=prof[:, q::2])
+        prof *= sign[:n]
+        for el, block in zip(degrees, prof):
+            rows[start[: el + 1] + el - m[: el + 1]] = block[: el + 1]
     return [rows[start[k] : start[k] + L - k] for k in range(L)]
 
 
-def ylm_points(L: int, x: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Harmonics below ``L`` at points given by ``cos(theta)`` and ``phi``.
+def ylm_points(L: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Harmonics below ``L`` at the points ``(theta, phi)``.
 
-    Returns ``Y[i, flat_index(l, m)] = Y_lm(theta_i, phi_i)`` where
-    ``x[i] = cos(theta_i)``.
+    Returns ``Y[i, flat_index(l, m)] = Y_lm(theta_i, phi_i)``.
     """
-    tables = norm_legendre_tables(L, x)
+    m = np.repeat(np.arange(L), np.arange(L, 0, -1))  # order of each table row
+    el = np.arange(m.size) - m * L + m * (m + 1) // 2  # its degree
+    y = np.concatenate(norm_legendre_tables(L, theta)).T * np.exp(1j * np.multiply.outer(phi, m))
     mat = np.empty((len(phi), L * L), dtype=np.complex128)
-    for m in range(L):
-        phase = np.exp(1j * m * phi)
-        ells = np.arange(m, L)
-        cols_pos = ells * ells + ells + m
-        mat[:, cols_pos] = (tables[m] * phase[None, :]).T
-        if m > 0:
-            cols_neg = ells * ells + ells - m
-            mat[:, cols_neg] = ((-1) ** m) * (tables[m] * np.conj(phase)[None, :]).T
+    mat[:, el * el + el - m] = (1.0 - 2.0 * (m % 2)) * y.conj()
+    mat[:, el * el + el + m] = y  # m = 0 last, over its own conjugate
     return mat
 
 

@@ -26,7 +26,10 @@ require the buffered kernels to match them bit for bit.
 ``build_delta_table`` holds every Delta matrix at once, and
 ``ylm_matrix`` with ``inverse_direct`` and ``dh_forward_direct`` are the
 dense O(L**4) transforms; the package streams all of them, and tests hold
-the streams to these forms.
+the streams to these forms.  ``norm_legendre_tables_loop`` is the
+normalized Legendre recurrence, which the package replaced by Delta sums;
+``ylm_matrix`` is built on it, so no oracle shares the package's harmonic
+code.  ``norm_legendre_exact`` gives the same profiles at high precision.
 """
 
 from __future__ import annotations
@@ -90,8 +93,23 @@ def delta_exact(el: int, m: int, n: int) -> float:
 
 
 def legendre_exact(el: int, m: int, x: float) -> float:
-    """Associated Legendre (Condon-Shortley) at 50-digit precision."""
-    return float(mp.legenp(el, m, mp.mpf(x)))
+    """Associated Legendre (Condon-Shortley) at 50-digit precision.
+
+    Taken at ``|x|`` by ``P_l^m(-x) = (-1)**(l+m) P_l^m(x)``: mpmath's series
+    converges slowly near ``x = -1``, up to seconds per value.
+    """
+    return float((-1) ** ((el + m) * (x < 0)) * mp.legenp(el, m, mp.mpf(abs(x))))
+
+
+def norm_legendre_exact(el: int, m: int, theta: float) -> float:
+    """``sqrt((2l+1)/(4pi) (l-m)!/(l+m)!) P_l^m(cos theta)``, any degree, poles included.
+
+    It equals ``sqrt((2l+1)/(4pi)) d^l_{m0}(theta)``: the factorial sum of
+    :func:`wigner_d_exact`, run with 50 digits to spare past its
+    cancellation, which costs fewer than ``l`` digits.
+    """
+    with mp.workdps(50 + el):
+        return math.sqrt((2 * el + 1) / (4 * math.pi)) * wigner_d_exact(el, m, 0, theta)
 
 
 def sphere_integral_trapezoid(f, n_theta: int = 2048, n_phi: int = 2048) -> complex:
@@ -491,9 +509,11 @@ def delta_quadrants(L: int):
     -sqrt((2l-1)/(2l)) d^{l-1}_{l-1,0}``.  Each ``(l+1, l+1)`` view stays valid
     for three more degrees.  ``L > 1024`` raises ``ValueError`` before any work.
     """
-    from equisphere.wigner import check_delta_bandlimit
+    from equisphere.samples import check_bandlimit
 
-    L = check_delta_bandlimit(L)
+    L = check_bandlimit(L)
+    if L > 1024:  # the corner seed 2**-l underflows to zero near l = 1075
+        raise ValueError(f"Wigner recursion supports band-limits up to 1024, got {L}")
     bufs = [np.zeros((L, L)) for _ in range(3)]
     for el in range(L):
         cur, p1, p2 = bufs[el % 3], bufs[(el - 1) % 3], bufs[(el - 2) % 3]
@@ -632,10 +652,16 @@ def ylm_matrix(grid) -> np.ndarray:
     transform written as a single dense operator.
     """
     from equisphere.samples import node_angles
-    from equisphere.wigner import ylm_points
 
     th, ph = node_angles(grid)
-    return ylm_points(grid.L, np.cos(th), ph)
+    tables = norm_legendre_tables_loop(grid.L, np.cos(th))
+    mat = np.empty((th.size, grid.L**2), dtype=np.complex128)
+    for m, table in enumerate(tables):
+        phase = np.exp(1j * m * ph)
+        for el, profile in enumerate(table, start=m):
+            mat[:, _fi(el, -m)] = (-1) ** m * profile * phase.conj()
+            mat[:, _fi(el, m)] = profile * phase  # m = 0 last, over its own conjugate
+    return mat
 
 
 def inverse_direct(grid, coeffs):

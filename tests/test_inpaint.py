@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from equisphere.inpaint import (
+    DEFAULT_CAPS,
     ExperimentConfig,
     MeasurementOp,
     SolveDomain,
@@ -74,6 +75,29 @@ class TestCapSignal:
     def test_rejects_tiny_bandlimit(self):
         with pytest.raises(ValueError):
             make_cap_signal(make_grid("mw", 1))
+
+    @pytest.mark.parametrize("kind", ["dh", "mw"])
+    @pytest.mark.parametrize(
+        "caps, smoothing",
+        # the default caps, and the acceptance experiment's caps and smoothing
+        [(DEFAULT_CAPS, None),
+         (((1.3, 1.0, 1.25, 1.0), (2.3, 4.4, 0.5, 0.7), (0.7, 3.0, 0.4, -0.5)), 0.8 / 32)],
+    )
+    def test_coefficients_match_closed_form(self, kind, caps, smoothing):
+        L = 12
+        s = 2.5 / L if smoothing is None else smoothing
+        expect = np.zeros(L * L, dtype=complex)
+        for theta, phi, radius, amp in caps:
+            x0 = math.cos(radius)
+            for el in range(L):
+                # 2 pi int_{x0}^1 Y_l0 dx, as (2l+1) P_l = (P_{l+1} - P_{l-1})'
+                p = (1.0 if el == 0 else oracles.legendre(el - 1, 0, x0)) - oracles.legendre(el + 1, 0, x0)
+                c = amp * math.sqrt(math.pi / (2 * el + 1)) * p
+                c *= math.sqrt(4 * math.pi / (2 * el + 1)) * math.exp(-el * (el + 1) * s * s / 2)
+                for m in range(-el, el + 1):
+                    expect[flat_index(el, m)] += c * np.conj(oracles.ylm(el, m, theta, phi))
+        _, coeffs = make_cap_signal(make_grid(kind, L), caps, smoothing)
+        assert np.abs(coeffs.values - expect).max() < 1e-13
 
 
 class TestMeasurementOp:

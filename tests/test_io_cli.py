@@ -382,8 +382,8 @@ class TestCli:
         "argv", [["make-signal", "--kind", "mw"], ["weights", "--kind", "dh"]]
     )
     def test_oversized_bandlimit_exit_2(self, tmp_path, capsys, argv):
-        # each command's O(L**2) array is over 128 TiB here, so numpy refuses
-        # it at once; the O(L) arrays made before it stay below 1 GB
+        # both commands pass -L through check_delta_bandlimit before they
+        # allocate anything, so this ends at the 1024 limit at once
         argv = [*argv, "-L", "10000000", "--out", str(tmp_path / "out")]
         assert main(argv) == 2
         captured = capsys.readouterr()

@@ -9,7 +9,7 @@ from equisphere.dh import dh_sample_weights
 from equisphere.mw import mw_sample_weights
 from equisphere.samples import flat_index, make_grid, node_angles, theta_nodes
 from equisphere import wigner
-from equisphere.wigner import legendre_degrees, norm_legendre_tables
+from equisphere.wigner import norm_legendre_tables, ylm_points
 
 import oracles
 from oracles import build_delta_table, delta_quadrants, legendre, ylm, ylm_matrix
@@ -40,36 +40,44 @@ class TestLegendre:
             legendre(-1, 0, 0.0)
 
     @pytest.mark.parametrize("kind", ["dh", "mw"])
-    def test_tables_bit_identical_to_per_order_loop(self, kind):
-        x = np.cos(theta_nodes(make_grid(kind, 32)))
-        got = norm_legendre_tables(32, x)
-        expect = oracles.norm_legendre_tables_loop(32, x)
-        assert len(got) == len(expect)
-        for a, b in zip(got, expect):
-            assert np.array_equal(a, b)
-
-    @pytest.mark.parametrize("L", [1, 2, 33, 257])
-    def test_tables_equal_loop_oracle(self, L):
-        x = np.array([-1.0, -0.3, 0.0, 0.7, 1.0])
-        got = norm_legendre_tables(L, x)
-        expect = oracles.norm_legendre_tables_loop(L, x)
+    def test_ring_tables_match_per_order_loop(self, kind):
+        # the profiles the harmonic solver's bases are built from; the loop's
+        # own recursion is up to 2e-14 off the exact values on these rings
+        theta = theta_nodes(make_grid(kind, 32))
+        got = norm_legendre_tables(32, theta)
+        expect = oracles.norm_legendre_tables_loop(32, np.cos(theta))
         assert [a.shape for a in got] == [b.shape for b in expect]
         for a, b in zip(got, expect):
-            assert np.array_equal(a, b)
+            assert np.abs(a - b).max() < 5e-14
 
-    def test_degree_blocks(self):
-        x = np.linspace(-1.0, 1.0, 5)
-        tables = norm_legendre_tables(9, x)
-        blocks = list(enumerate(b.copy() for b in legendre_degrees(9, x)))
-        assert [b.shape for _, b in blocks] == [(el + 1, 5) for el in range(9)]
-        for el, block in blocks:
-            for m in range(el + 1):
-                assert np.array_equal(block[m], tables[m][el - m])
+    @pytest.mark.parametrize("L", [1, 2, 13])
+    def test_tables_exact_every_entry(self, L):
+        theta = np.array([0.0, 1e-3, 0.5, 1.0, np.pi / 2, 2.5, np.pi - 1e-3, np.pi])
+        tables = norm_legendre_tables(L, theta)
+        assert [t.shape for t in tables] == [(L - m, theta.size) for m in range(L)]
+        for m, table in enumerate(tables):
+            for el, row in enumerate(table, start=m):
+                expect = [oracles.norm_legendre_exact(el, m, t) for t in theta]
+                assert np.abs(row - expect).max() < 1e-14
+
+    def test_tables_exact_high_degree(self):
+        # poles included; the recursion the Delta sums replaced was 7.6e-13
+        # off at l = 256, m = 0, theta = pi
+        theta = np.array([0.0, 1e-3, 1.0, np.pi / 2, np.pi])
+        tables = norm_legendre_tables(257, theta)
+        for el in range(250, 257):
+            for m in (0, 1, el // 2, el):
+                expect = [oracles.norm_legendre_exact(el, m, t) for t in theta]
+                assert np.abs(tables[m][el - m] - expect).max() < 1e-13
+
+    def test_tables_above_delta_range(self):
+        with pytest.raises(ValueError, match="up to 1024"):
+            norm_legendre_tables(1025, np.zeros(1))
 
     def test_normalized_tables_match_pointwise(self):
         x = np.linspace(-0.99, 0.99, 7)
         L = 12
-        tables = norm_legendre_tables(L, x)
+        tables = norm_legendre_tables(L, np.arccos(x))
         for m in range(L):
             for el in range(m, L):
                 norm = math.sqrt(
@@ -296,6 +304,18 @@ class TestPackedTriangle:
         for transform in (wigner.delta_forward, wigner.delta_inverse):
             with pytest.raises(ValueError, match="up to 1024"):
                 transform(np.zeros(1), 1025)
+
+
+class TestYlmPoints:
+    def test_matches_scalar_ylm(self):
+        rng = np.random.default_rng(6)
+        theta = np.concatenate(([0.0, np.pi], rng.uniform(0, np.pi, 6)))
+        phi = rng.uniform(0, 2 * np.pi, theta.size)
+        mat = ylm_points(9, theta, phi)
+        for i, (th, ph) in enumerate(zip(theta, phi)):
+            for el in range(9):
+                for m in range(-el, el + 1):
+                    assert abs(mat[i, flat_index(el, m)] - ylm(el, m, th, ph)) < 1e-14
 
 
 class TestYlmMatrix:
