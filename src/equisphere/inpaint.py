@@ -9,9 +9,10 @@ stored samples and ``n`` i.i.d. zero-mean Gaussian noise.  Recovery solves
 where ``Psi`` is the inverse spherical harmonic transform of the signal's
 grid.  Both are handled by one first-order primal-dual scheme: the TV term
 through its dual (a per-site disc projection) and the residual ball by
-Euclidean projection, with step sizes from a power-iteration estimate of
-the stacked operator norm.  Each iteration runs one TV adjoint (the primal
-step) and two TV applies (the dual step and the recorded objective) on
+Euclidean projection, with the diagonal step sizes of Pock & Chambolle
+2011 (Lemma 2), one per sample and per TV site, from closed-form sums of
+the stacked operator's entries.  Each iteration runs one TV adjoint (the
+primal step) and two TV applies (the dual step and the recorded objective) on
 work arrays that are allocated once per solve and updated in place; the
 TV dual is one stacked ``(2, n_theta, n_phi)`` array.  The whole pipeline
 is real-valued.  Harmonic solves iterate in sample space inside the
@@ -48,6 +49,7 @@ from .samples import (
     HarmonicCoeffs,
     SphereSignal,
     checked_grid,
+    contract_adjoint,
     theta_nodes,
 )
 from .transforms import forward, inverse
@@ -75,6 +77,7 @@ __all__ = [
 _FEAS_RTOL = 1e-3  # relative slack on the residual constraint
 _STALL_WINDOW = 10
 _RELAX = 1.9
+_STEP_SAFETY = 0.95  # the relaxed scheme needs the bound of _steps strictly below 1
 
 
 class SolveDomain:
@@ -162,9 +165,9 @@ class SolveResult:
     ``x_hat_star`` is populated for harmonic-domain solves only.
     ``objective_trace[k]`` is the objective of the best feasible iterate
     after ``k + 1`` iterations (``+inf`` before feasibility is reached).
-    ``setup_seconds`` is the wall time before the first iteration (power
-    iteration, noiseless polish factorisation) and ``loop_seconds`` that of
-    the iterations; neither takes part in comparisons.
+    ``setup_seconds`` is the wall time before the first iteration (step
+    sizes, noiseless polish factorisation) and ``loop_seconds`` that of the
+    iterations; neither takes part in comparisons.
     """
 
     x_star: SphereSignal
@@ -304,22 +307,29 @@ def snr(x_true: SphereSignal, x_rec: SphereSignal) -> float:
     return 20.0 * math.log10(ref / err)
 
 
-def _power_iteration(op, n: int, iters: int = 50, tol: float = 1e-6) -> float:
-    # Largest singular value of the stacked operator, via K^T K.
-    v = np.ones(n) + 1e-3 * np.arange(n) / max(1, n - 1)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = op(v)
-        lam_new = float(np.linalg.norm(w))
-        if lam_new == 0.0:
-            return 0.0
-        v = w / lam_new
-        if abs(lam_new - lam) <= tol * lam_new:
-            lam = lam_new
-            break
-        lam = lam_new
-    return math.sqrt(lam)
+def _steps(grid: GridDescriptor, mask: np.ndarray, harmonic: bool):
+    # Diagonal steps of Pock & Chambolle 2011 (ICCV), Lemma 2 with alpha = 1,
+    # for K = [W grad; Phi]: one over each row's and each column's |K| sum,
+    # so ||Sigma^1/2 K T^1/2|| <= 1, with the sums in closed form.  A TV
+    # site's two rows hold +-a_theta(t) and +-a_phi(t) and share the smaller
+    # step, so the dual prox stays a disc projection; a measurement row holds
+    # one 1 (sigma = 1).  A ring sample's column holds a_theta(t),
+    # a_theta(t-1) and a_phi(t) twice, the pole slot the a_theta entries of
+    # its ring, a measured sample one more 1.  An empty column (DH's
+    # unmeasured north pole, of weight 0) gets tau = 0.  Harmonic solves take
+    # the smallest tau as a scalar: a diagonal metric would break their
+    # orthogonal projection.
+    # Returns sigma per site as an (n_theta, 1) column, and tau.
+    a_theta, a_phi = _row_scales(grid, None)[:, :, 0]
+    site = np.maximum(a_theta, a_phi)
+    sigma = np.divide(0.5, site, out=np.zeros_like(site), where=site > 0)[:, None]
+    ring = a_theta + np.concatenate(([0.0], a_theta[:-1])) + 2.0 * a_phi
+    colsum = contract_adjoint(grid, np.repeat(ring[:, None], grid.n_phi, axis=1))
+    colsum[mask] += 1.0
+    if harmonic:
+        return sigma, _STEP_SAFETY / float(colsum.max())
+    tau = np.divide(_STEP_SAFETY, colsum, out=np.zeros_like(colsum), where=colsum > 0)
+    return sigma, tau
 
 
 @dataclass(frozen=True)
@@ -427,9 +437,13 @@ def _solve(problem: InpaintProblem, max_iter: int, tol: float) -> SolveResult:
     # iteration: `full` takes the pole-broadcast samples and the per-site
     # magnitudes, `grad` the TV applies and the adjoint's weighted duals.
     # The TV dual is one stacked (colatitude, longitude) array, and the row
-    # factors are spread over that shape so each weighting is one flat run.
+    # factors are spread over that shape so each weighting is one flat run;
+    # the dual step's TV apply takes them times the per-site steps.
     shape = (2, grid.n_theta, grid.n_phi)
-    scales = np.ascontiguousarray(np.broadcast_to(_row_scales(grid, None), shape))
+    sigma, tau = _steps(grid, mask, harmonic)
+    rows = _row_scales(grid, None)
+    scales = np.ascontiguousarray(np.broadcast_to(rows, shape))
+    dual_scales = np.ascontiguousarray(np.broadcast_to(rows * sigma, shape))
     full = np.empty(shape[1:])
     grad = np.empty(shape)
     dual = np.zeros(shape)
@@ -448,17 +462,6 @@ def _solve(problem: InpaintProblem, max_iter: int, tol: float) -> SolveResult:
     else:
         prox_primal = lambda z: z
         x = problem.op.adjoint(y)  # zero-fill start, already feasible
-
-    def normal_op(z):
-        g = tv_apply_raw(grid, scales, z, out=grad, full=full)
-        tv_adjoint_raw(grid, scales, g, out=back, work=dual_new, full=full)
-        back[mask] += z[mask]
-        return back
-
-    norm_k = 1.05 * _power_iteration(normal_op, grid.n_samples)
-    if norm_k == 0.0:
-        norm_k = 1.0
-    step = 0.95 / norm_k
 
     feas_bound = eps * (1.0 + _FEAS_RTOL)
     exact_fit = eps == 0.0
@@ -501,15 +504,14 @@ def _solve(problem: InpaintProblem, max_iter: int, tol: float) -> SolveResult:
         # primal step from the current duals
         tv_adjoint_raw(grid, scales, dual, out=back, work=grad, full=full)
         back[mask] += v
-        np.multiply(step, back, out=back)
+        np.multiply(tau, back, out=back)
         np.subtract(x, back, out=back)
         x_new = prox_primal(back)
 
         # dual steps at the extrapolated point
         np.multiply(2.0, x_new, out=s_ex)
         np.subtract(s_ex, x, out=s_ex)
-        g = tv_apply_raw(grid, scales, s_ex, out=grad, full=full)
-        np.multiply(step, g, out=g)
+        g = tv_apply_raw(grid, dual_scales, s_ex, out=grad, full=full)
         np.add(dual, g, out=dual_new)
         np.square(dual_new, out=g)
         mag = np.add(g[0], g[1], out=full)
@@ -518,17 +520,14 @@ def _solve(problem: InpaintProblem, max_iter: int, tol: float) -> SolveResult:
         np.divide(dual_new, mag, out=dual_new)
 
         np.take(s_ex, mask, out=v_new)
-        np.multiply(step, v_new, out=v_new)
         np.add(v, v_new, out=v_new)
-        np.divide(v_new, step, out=w)
-        np.subtract(w, y, out=w)
+        np.subtract(v_new, y, out=w)
         d = float(np.linalg.norm(w))
         if d <= eps:
-            np.multiply(step, y, out=w)
-        else:  # step times the ball projection of v_new / step
+            np.copyto(w, y)
+        else:  # the ball projection of v_new (sigma = 1 on these rows)
             np.multiply(w, eps / d, out=w)
             np.add(y, w, out=w)
-            np.multiply(step, w, out=w)
         np.subtract(v_new, w, out=v_new)
 
         # over-relaxation (rho < 2 keeps the scheme convergent)

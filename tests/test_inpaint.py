@@ -11,6 +11,8 @@ from equisphere.inpaint import (
     MeasurementOp,
     SolveDomain,
     SolverError,
+    _STEP_SAFETY,
+    _steps,
     _subspace_basis,
     make_cap_signal,
     make_problem,
@@ -30,7 +32,7 @@ from equisphere.samples import (
     random_coeffs,
 )
 from equisphere.transforms import inverse
-from equisphere.tv import tv_norm
+from equisphere.tv import _row_scales, tv_apply_raw, tv_norm
 
 import oracles
 
@@ -300,6 +302,53 @@ class TestBandLimitProjector:
         assert np.abs(basis.rows(mask) @ c - lifted[mask]).max() <= 1e-13 * np.abs(c).sum()
 
 
+class TestSteps:
+    """The closed-form diagonal steps against a dense ``K = [W grad; Phi]``."""
+
+    @staticmethod
+    def _dense_k(g, mask):
+        scales = _row_scales(g, None)
+        eye = np.eye(g.n_samples)
+        tv_rows = np.stack([tv_apply_raw(g, scales, e).reshape(-1) for e in eye], axis=1)
+        return np.vstack((tv_rows, eye[mask]))
+
+    @pytest.mark.parametrize("kind", ["dh", "mw"])
+    @pytest.mark.parametrize("L", [2, 3, 8])
+    @pytest.mark.parametrize("pole_measured", [True, False])
+    def test_steps_bound_the_preconditioned_norm(self, kind, L, pole_measured):
+        g = make_grid(kind, L)
+        pole = g.pole_row * g.n_phi
+        rng = np.random.default_rng(L)
+        mask = np.setdiff1d(rng.choice(g.n_samples, g.n_samples // 2, replace=False), [pole])
+        if pole_measured:
+            mask = np.union1d(mask, [pole])
+        k = self._dense_k(g, mask)
+        colsum = np.abs(k).sum(axis=0)
+
+        sigma, tau = _steps(g, mask, harmonic=False)
+        # tau is the safety factor over the column sum, and 0 on an empty
+        # column, which only DH's unmeasured north pole is
+        empty = colsum == 0
+        pole_empty = kind == "dh" and not pole_measured
+        assert np.array_equal(empty, (np.arange(g.n_samples) == pole) & pole_empty)
+        assert np.all(tau[empty] == 0.0)
+        assert np.allclose(tau[~empty] * colsum[~empty], _STEP_SAFETY, rtol=1e-13, atol=0)
+
+        # one sigma per TV site on both of its rows, 1 on the measurement rows
+        sigma_rows = np.concatenate((np.broadcast_to(sigma, (2, g.n_theta, g.n_phi)).reshape(-1),
+                                     np.ones(mask.size)))
+        assert np.all(np.abs(k).sum(axis=1) * sigma_rows <= 1.0 + 1e-13)
+
+        # harmonic solves take the smallest step of a non-empty column
+        tau_h = _steps(g, mask, harmonic=True)[1]
+        assert tau_h == tau[~empty].min()
+        for t in (tau, tau_h):
+            pre = np.sqrt(sigma_rows)[:, None] * k * np.sqrt(t)
+            norm = np.linalg.norm(pre, 2)
+            assert norm < 1.0
+            assert norm <= math.sqrt(_STEP_SAFETY) * (1.0 + 1e-12)  # Lemma 2's bound
+
+
 class TestSnr:
     def test_examples(self):
         g = make_grid("mw", 4)
@@ -352,6 +401,16 @@ class TestSolvers:
         if ratio == 1.0:
             rel = np.linalg.norm(x_star - x_true.values) / np.linalg.norm(x_true.values)
             assert rel < 1e-4
+
+    @pytest.mark.parametrize("domain", ["harmonic", "spatial"])
+    def test_noiseless_l32_returns(self, domain):
+        # the stop rule fires on a noiseless L = 32 solve within the default
+        # iteration budget, and the result lies on the constraint
+        x_true, _ = _real_cap_signal("dh", 32)
+        prob, _ = make_problem(x_true, 1.0, 0.0, domain, 77)
+        solver = solve_spatial if domain == "spatial" else solve_harmonic
+        res = solver(prob)
+        assert res.final_residual <= 1e-8 * max(1.0, np.linalg.norm(prob.y))
 
     def test_retained_memory_is_one_basis_per_grid(self):
         # after a DH and an MW harmonic solve at L = 32 only their two

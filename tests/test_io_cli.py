@@ -347,6 +347,29 @@ class TestCli:
         assert manifest["failures"] == []
         assert "wall_time_s" in manifest
 
+    @pytest.mark.parametrize("sigma_rel", ["0.01", "0.0"])
+    def test_experiment_csv_independent_of_blas_threads(self, tmp_path, sigma_rel):
+        # the same sweep in processes with one and with two BLAS threads
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "L = 8\nkinds = dh, mw\ndomains = spatial, harmonic\nratios = 0.5, 1.0\n"
+            f"trials = 2\nsigma_rel = {sigma_rel}\nseed = 6\nmax_iter = 5000\n"
+        )
+        src = os.path.dirname(os.path.dirname(equisphere.__file__))
+        outs = []
+        for threads in (1, min(2, os.cpu_count() or 1)):
+            env = dict(os.environ, PYTHONPATH=src)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                env[var] = str(threads)
+            out = tmp_path / f"threads{threads}_{len(outs)}.csv"
+            done = subprocess.run(
+                [sys.executable, "-m", "equisphere.cli", "experiment", str(cfg), "--out", str(out)],
+                capture_output=True, text=True, env=env, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_experiment_all_cells_failed_exit_4(self, tmp_path):
         # an absurdly small iteration budget makes every solve raise,
         # which the driver records and reports as total failure
