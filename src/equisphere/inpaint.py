@@ -7,35 +7,39 @@ stored samples and ``n`` i.i.d. zero-mean Gaussian noise.  Recovery solves
     harmonic:  min_z  ||Psi z||_TV  s.t. ||y - Phi Psi z||_2 <= eps
 
 where ``Psi`` is the inverse spherical harmonic transform of the signal's
-grid.  Both are handled by one first-order primal-dual scheme: the TV term
-through its dual (a per-site disc projection) and the residual ball by
-Euclidean projection, with the diagonal step sizes of Pock & Chambolle
-2011 (Lemma 2), one per sample and per TV site, from closed-form sums of
-the stacked operator's entries.  Each iteration runs one TV adjoint (the
-primal step) and two TV applies (the dual step and the recorded objective) on
-work arrays that are allocated once per solve and updated in place; the
-TV dual is one stacked ``(2, n_theta, n_phi)`` array.  The whole pipeline
-is real-valued.  Harmonic solves iterate in sample space inside the
-band-limited subspace of real signals.  Both grids sample each ring at
-``n_phi >= 2L - 1`` equispaced longitudes, so a real FFT along the rings
-separates the orders ``m`` and the projection onto the subspace splits
-into one small projection per order, onto a cached QR basis of that
-order's Legendre profiles; no ``N x L**2`` matrix is formed.  The reported coefficients are the grid's
-forward transform of the result.
+grid.  Both read ``min_x G(x) + F(K x)`` with ``K = [W grad; Phi]`` and are
+solved by one relaxed primal-dual loop (Chambolle & Pock 2011, JMIV,
+over-relaxed as in Condat 2013, JOTA), written once over the blocks of
+``K``.  Each iteration takes ``K^T`` of the duals (a TV adjoint and the
+mask's scatter), the primal step through ``prox_G``, ``Sigma K`` at the
+extrapolated point (a TV apply and the mask), ``prox_F*`` per block (a
+per-site disc projection for the TV dual, the residual ball's conjugate
+prox for the measurement dual) and the relaxation, on work arrays
+allocated once per solve.  The steps are the diagonal ones of Pock &
+Chambolle 2011 (ICCV, Lemma 2), from closed-form sums of ``|K|``.  The
+domains differ in ``G`` only: zero, or the indicator of the band-limited
+real subspace, whose prox is the orthogonal projection onto it; harmonic
+solves iterate in sample space and take one scalar primal step.  Both
+grids sample each ring at ``n_phi >= 2L - 1`` longitudes, so a real FFT
+along the rings separates the orders ``m`` and the projection splits into
+one small projection per order onto a cached QR basis of its Legendre
+profiles; no ``N x L**2`` matrix is formed.  The reported coefficients are
+the grid's forward transform of the result.
 
-The solver records, per iteration, the objective of the best feasible
-iterate found so far (``+inf`` until one exists) and returns that iterate,
-so the recorded objective sequence is non-increasing once feasibility is
+A per-domain feasibility map turns each iterate into a candidate on the
+constraint, and the solver records, per iteration, the TV of the best
+feasible candidate so far (``+inf`` until one exists) and returns it, so
+the recorded objective sequence is non-increasing once feasibility is
 reached.  Noiseless problems (``eps = 0``) are polished to exact
 feasibility: spatial ones by reinserting the measurements, harmonic ones
 by a least-squares correction inside the subspace, through the SVD of the
-``M x L**2`` masked rows of its per-order orthonormal basis, lifted back
-through the per-order synthesis.
+``M x L**2`` masked rows of its per-order orthonormal basis.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -426,19 +430,80 @@ def _subspace_basis(grid: GridDescriptor) -> _OrderBases:
     return _OrderBases(grid, q)
 
 
+def _disc_project(p: np.ndarray, work=None, mag=None) -> np.ndarray:
+    # prox of the TV term's conjugate: each site's dual pair (p[0], p[1])
+    # projected onto the unit disc, in place; work (shaped like p) and mag
+    # (one site grid) are optional buffers
+    sq = np.square(p, out=work)
+    mag = np.add(sq[0], sq[1], out=mag)
+    np.sqrt(mag, out=mag)
+    np.maximum(mag, 1.0, out=mag)
+    return np.divide(p, mag, out=p)
+
+
+def _ball_dual_prox(v: np.ndarray, y: np.ndarray, eps: float) -> np.ndarray:
+    # prox of the conjugate of the residual ball's indicator (sigma = 1):
+    # v minus the projection of v onto the eps-ball around y, in place
+    w = v - y
+    d = float(np.linalg.norm(w))
+    w = y if d <= eps else y + w * (eps / d)
+    return np.subtract(v, w, out=v)
+
+
+def _feasibility_map(problem: InpaintProblem, basis: _OrderBases | None, bound: float):
+    # Iterate -> (candidate scored in its place, candidate's residual).
+    # Spatial iterates outside the slack band have their masked entries moved
+    # onto the eps-ball around y (for eps = 0, y itself); noisy harmonic ones
+    # enter the band on their own; noiseless harmonic ones get the
+    # least-squares correction inside the subspace, through the SVD of the
+    # basis' masked rows (negligible singular values dropped).
+    y, eps, mask = problem.y, problem.epsilon, problem.op.indices
+    residual = lambda z: float(np.linalg.norm(y - z[mask]))
+    if basis is not None and eps > 0:
+        return lambda z: (z, residual(z))
+    if basis is None:
+        buf = np.empty(problem.grid.n_samples)
+
+        def correct(z, r, d):
+            np.copyto(buf, z)
+            buf[mask] = y - (eps / d) * r  # d > bound >= 0
+            return buf
+    else:
+        u, s, vt = np.linalg.svd(basis.rows(mask), full_matrices=False)
+        keep = s > s[0] * max(mask.size, problem.grid.L ** 2) * np.finfo(float).eps
+        u, s, vt = u[:, keep], s[keep], vt[keep]
+        correct = lambda z, r, d: z + basis.lift(vt.T @ ((u.T @ r) / s))
+
+    def feasible(z):
+        r = y - z[mask]
+        d = float(np.linalg.norm(r))
+        if d <= bound:
+            return z, d
+        z = correct(z, r, d)
+        return z, residual(z)
+
+    return feasible
+
+
 def _solve(problem: InpaintProblem, max_iter: int, tol: float) -> SolveResult:
+    try:
+        max_iter = operator.index(max_iter)
+    except TypeError:
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}") from None
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     t_start = time.perf_counter()
     grid = problem.grid
     y, eps = problem.y, problem.epsilon
     mask = problem.op.indices
     harmonic = problem.domain == SolveDomain.HARMONIC
 
-    # Work arrays, allocated once per solve and updated in place by every
-    # iteration: `full` takes the pole-broadcast samples and the per-site
-    # magnitudes, `grad` the TV applies and the adjoint's weighted duals.
-    # The TV dual is one stacked (colatitude, longitude) array, and the row
-    # factors are spread over that shape so each weighting is one flat run;
-    # the dual step's TV apply takes them times the per-site steps.
+    # Work arrays, updated in place by every iteration: `full` takes the
+    # pole-broadcast samples and the per-site magnitudes, `grad` the TV
+    # applies and the adjoint's weighted duals.  The row factors are spread
+    # over the stacked dual's shape, and times sigma for the dual step.
     shape = (2, grid.n_theta, grid.n_phi)
     sigma, tau = _steps(grid, mask, harmonic)
     rows = _row_scales(grid, None)
@@ -446,89 +511,36 @@ def _solve(problem: InpaintProblem, max_iter: int, tol: float) -> SolveResult:
     dual_scales = np.ascontiguousarray(np.broadcast_to(rows * sigma, shape))
     full = np.empty(shape[1:])
     grad = np.empty(shape)
-    dual = np.zeros(shape)
-    dual_new = np.empty(shape)
-    back, s_ex, cand_buf, best_buf = (np.empty(grid.n_samples) for _ in range(4))
-    v = np.zeros(mask.size)
-    v_new, w, r = (np.empty(mask.size) for _ in range(3))
+    dual, dual_new = np.zeros(shape), np.empty(shape)
+    back, s_ex, best_x = (np.empty(grid.n_samples) for _ in range(3))
+    v, v_new = np.zeros(mask.size), np.empty(mask.size)
 
-    # Both domains iterate over sample space; the harmonic problem adds the
-    # band-limited subspace as a primal constraint whose prox is the
-    # orthogonal projection onto it, one order at a time.
-    if harmonic:
-        basis = _subspace_basis(grid)
-        prox_primal = basis.project
-        x = prox_primal(problem.op.adjoint(y))
-    else:
-        prox_primal = lambda z: z
-        x = problem.op.adjoint(y)  # zero-fill start, already feasible
-
-    feas_bound = eps * (1.0 + _FEAS_RTOL)
-    exact_fit = eps == 0.0
-    # Candidates are corrected onto the constraint.  In the spatial domain the
-    # masked entries are moved onto the eps-ball around y, which for eps = 0
-    # reinserts y itself.  With eps = 0 the harmonic iterates can only
-    # approach the constraint, so there the correction is the least-squares
-    # solution inside the subspace, applied through the SVD factors of the
-    # basis' masked rows (negligible singular values dropped) and lifted back
-    # through the per-order synthesis, leaving machine-level residue that is
-    # accepted explicitly.
-    feas_accept = feas_bound if not exact_fit else 1e-8 * max(1.0, float(np.linalg.norm(y)))
-    if exact_fit and harmonic:
-        u, s, vt = np.linalg.svd(basis.rows(mask), full_matrices=False)
-        keep = s > s[0] * max(mask.size, grid.L * grid.L) * np.finfo(float).eps
-        u, s, vt = u[:, keep], s[keep], vt[keep]
-        fit_correct = lambda r: basis.lift(vt.T @ ((u.T @ r) / s))
-
-    def candidate(z, r, d):
-        if d <= feas_bound:
-            return z
-        if harmonic:  # noisy harmonic iterates enter the slack band on their own
-            return z + fit_correct(r) if exact_fit else z
-        np.copyto(cand_buf, z)
-        cand_buf[mask] = y - (eps / d) * r  # d > feas_bound >= 0
-        return cand_buf
-
-    def tv_of(z):
-        return _tv_total(tv_apply_raw(grid, scales, z, out=grad, full=full), out=full)
+    basis = _subspace_basis(grid) if harmonic else None
+    prox_primal = basis.project if harmonic else (lambda z: z)
+    x = prox_primal(problem.op.adjoint(y))  # spatial: the feasible zero fill
+    bound = eps * (1.0 + _FEAS_RTOL)
+    feasible = _feasibility_map(problem, basis, bound)
+    # with eps = 0 the polish leaves machine-level residue, accepted explicitly
+    accept = bound if eps > 0 else 1e-8 * max(1.0, float(np.linalg.norm(y)))
 
     best_obj = math.inf
-    best_x = None
-    trace = np.empty(max_iter)
-    raw_objs = np.empty(max_iter)
+    trace, raw_objs = np.empty(max_iter), np.empty(max_iter)
     converged = False
-    iterations = 0
 
     t_loop = time.perf_counter()
     for k in range(max_iter):
-        # primal step from the current duals
+        # K^T [p; v], then the primal step through prox_G
         tv_adjoint_raw(grid, scales, dual, out=back, work=grad, full=full)
         back[mask] += v
         np.multiply(tau, back, out=back)
-        np.subtract(x, back, out=back)
-        x_new = prox_primal(back)
+        x_new = prox_primal(np.subtract(x, back, out=back))
 
-        # dual steps at the extrapolated point
+        # Sigma K at the extrapolated point, then prox_F* per block
         np.multiply(2.0, x_new, out=s_ex)
         np.subtract(s_ex, x, out=s_ex)
-        g = tv_apply_raw(grid, dual_scales, s_ex, out=grad, full=full)
-        np.add(dual, g, out=dual_new)
-        np.square(dual_new, out=g)
-        mag = np.add(g[0], g[1], out=full)
-        np.sqrt(mag, out=mag)
-        np.maximum(mag, 1.0, out=mag)
-        np.divide(dual_new, mag, out=dual_new)
-
-        np.take(s_ex, mask, out=v_new)
-        np.add(v, v_new, out=v_new)
-        np.subtract(v_new, y, out=w)
-        d = float(np.linalg.norm(w))
-        if d <= eps:
-            np.copyto(w, y)
-        else:  # the ball projection of v_new (sigma = 1 on these rows)
-            np.multiply(w, eps / d, out=w)
-            np.add(y, w, out=w)
-        np.subtract(v_new, w, out=v_new)
+        tv_apply_raw(grid, dual_scales, s_ex, out=grad, full=full)
+        _disc_project(np.add(dual, grad, out=dual_new), grad, full)
+        _ball_dual_prox(np.add(v, s_ex[mask], out=v_new), y, eps)
 
         # over-relaxation (rho < 2 keeps the scheme convergent)
         for cur, new in ((x, x_new), (dual, dual_new), (v, v_new)):
@@ -536,34 +548,22 @@ def _solve(problem: InpaintProblem, max_iter: int, tol: float) -> SolveResult:
             np.multiply(_RELAX, new, out=new)
             np.add(cur, new, out=cur)
 
-        np.take(x, mask, out=r)
-        np.subtract(y, r, out=r)
-        d = float(np.linalg.norm(r))
-        cand = candidate(x, r, d)
-        if cand is not x:
-            res = float(np.linalg.norm(y - cand[mask]))
-        else:
-            res = d
-        obj = tv_of(cand)
+        cand, res = feasible(x)
+        obj = _tv_total(tv_apply_raw(grid, scales, cand, out=grad, full=full), out=full)
         raw_objs[k] = obj
-        if res <= max(feas_accept, feas_bound) and obj < best_obj:
+        if res <= accept and obj < best_obj:
             best_obj = obj
-            np.copyto(best_buf, cand)
-            best_x = best_buf
+            np.copyto(best_x, cand)
         trace[k] = best_obj
-        iterations = k + 1
-        if k >= _STALL_WINDOW and best_x is not None:
+        if k >= _STALL_WINDOW and best_obj < math.inf:
             prev = raw_objs[k - _STALL_WINDOW]
             if abs(obj - prev) <= tol * max(abs(prev), 1e-12):
                 converged = True
                 break
     loop_seconds = time.perf_counter() - t_loop
-
-    if best_x is None:
-        r = y - x[mask]
-        best_x = candidate(x, r, float(np.linalg.norm(r)))
-        best_obj = tv_of(best_x)
-        converged = False
+    iterations = k + 1
+    if best_obj == math.inf:  # never feasible: report the last candidate
+        best_x, best_obj = cand, obj
 
     final_res = float(np.linalg.norm(y - best_x[mask]))
     x_star = SphereSignal(grid, best_x.astype(np.complex128))
@@ -581,7 +581,7 @@ def _solve(problem: InpaintProblem, max_iter: int, tol: float) -> SolveResult:
     if not converged:
         raise SolverError(
             f"no converged feasible iterate within {max_iter} iterations "
-            f"(residual {final_res:.3e}, bound {feas_bound:.3e})",
+            f"(residual {final_res:.3e}, bound {accept:.3e})",
             result=result,
         )
     return result
@@ -599,14 +599,8 @@ def solve_harmonic(problem: InpaintProblem, max_iter: int = 5000, tol: float = 1
 
     Iterates over sample space constrained to the band-limited subspace,
     which is the same convex program as recovering the coefficients
-    directly.  The projection onto the subspace is a real FFT along the
-    rings, one small orthogonal projection per order ``m`` onto a cached QR
-    basis of its Legendre profiles (the pole sample joins ``m = 0``), and
-    the inverse FFT.  Noiseless problems are polished onto the constraint
-    through the SVD of the ``M x L**2`` masked rows of that orthonormal
-    basis, the correction lifted back through the per-order synthesis.  The
-    reported coefficients are the grid's forward transform of the
-    recovered, band-limited signal.
+    directly; the coefficients reported are the grid's forward transform
+    of the recovered, band-limited signal.
     """
     if problem.domain != SolveDomain.HARMONIC:
         raise ValueError(f"problem domain is {problem.domain!r}, expected 'harmonic'")

@@ -543,6 +543,31 @@ class TestSolvers:
             solve_spatial(prob, max_iter=3)
         assert exc.value.result is not None
         assert exc.value.result.iterations == 3
+        assert f"bound {prob.epsilon * 1.001:.3e})" in str(exc.value)
+
+        # a noiseless solve accepts a machine-level residual, and says so
+        x_true, _ = _real_cap_signal("dh", 8)
+        prob, _ = make_problem(x_true, 1.0, 0.0, "harmonic", 5)
+        with pytest.raises(SolverError) as exc:
+            solve_harmonic(prob, max_iter=2)
+        assert exc.value.result.iterations == 2
+        accept = 1e-8 * max(1.0, np.linalg.norm(prob.y))
+        assert accept > 0 and f"bound {accept:.3e})" in str(exc.value)
+
+    @pytest.mark.parametrize("max_iter, tol", [
+        (0, 1e-6), (-1, 1e-6), (2.5, 1e-6), (10, math.nan), (10, -1.0), (10, math.inf),
+    ])
+    @pytest.mark.parametrize("domain", ["spatial", "harmonic"])
+    def test_rejects_bad_budget_or_tolerance(self, max_iter, tol, domain):
+        x_true, _ = _real_cap_signal("mw", 4)
+        prob, _ = make_problem(x_true, 1.0, 0.01, domain, 3)
+        solver = solve_spatial if domain == "spatial" else solve_harmonic
+        name = "max_iter" if tol == 1e-6 else "tol"
+        with pytest.raises(ValueError, match=name):
+            solver(prob, max_iter=max_iter, tol=tol)
+        # numpy integers are budgets too
+        with pytest.raises(SolverError):
+            solver(prob, max_iter=np.int64(1))
 
 
 class TestRunExperiment:
