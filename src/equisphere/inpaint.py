@@ -443,11 +443,11 @@ def _disc_project(p: np.ndarray, work=None, mag=None) -> np.ndarray:
 
 def _ball_dual_prox(v: np.ndarray, y: np.ndarray, eps: float) -> np.ndarray:
     # prox of the conjugate of the residual ball's indicator (sigma = 1):
-    # v minus the projection of v onto the eps-ball around y, in place
-    w = v - y
-    d = float(np.linalg.norm(w))
-    w = y if d <= eps else y + w * (eps / d)
-    return np.subtract(v, w, out=v)
+    # v minus its projection onto the eps-ball around y, so 0 inside the
+    # ball, in place
+    np.subtract(v, y, out=v)
+    d = float(np.linalg.norm(v))
+    return np.multiply(v, 1.0 - eps / d if d > eps else 0.0, out=v)
 
 
 def _feasibility_map(problem: InpaintProblem, basis: _OrderBases | None, bound: float):

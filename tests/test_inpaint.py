@@ -12,6 +12,8 @@ from equisphere.inpaint import (
     SolveDomain,
     SolverError,
     _STEP_SAFETY,
+    _ball_dual_prox,
+    _disc_project,
     _steps,
     _subspace_basis,
     make_cap_signal,
@@ -347,6 +349,54 @@ class TestSteps:
             norm = np.linalg.norm(pre, 2)
             assert norm < 1.0
             assert norm <= math.sqrt(_STEP_SAFETY) * (1.0 + 1e-12)  # Lemma 2's bound
+
+
+class TestProxes:
+    """The dual proxes of the primal-dual loop."""
+
+    @staticmethod
+    def _ball_point(y, eps, dist, seed):
+        u = np.random.default_rng(seed).standard_normal(y.size)
+        return y + dist * u / np.linalg.norm(u)
+
+    @staticmethod
+    def _conj_prox_objective(z, v, y, eps):
+        # sigma = 1: the ball's conjugate <z, y> + eps ||z||, plus ||z - v||^2 / 2
+        return z @ y + eps * np.linalg.norm(z) + 0.5 * np.sum((z - v) ** 2)
+
+    @pytest.mark.parametrize("eps, dist", [(1.0, 0.0), (1.0, 0.5), (1.0, 0.999), (0.0, 0.0)])
+    def test_ball_prox_is_zero_inside_the_ball(self, eps, dist):
+        y = np.random.default_rng(0).standard_normal(20)
+        v = self._ball_point(y, eps, dist, 1)
+        assert not _ball_dual_prox(v, y, eps).any()
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3, 2.0])
+    def test_ball_prox_outside_the_ball(self, eps):
+        y = np.random.default_rng(2).standard_normal(20)
+        v = self._ball_point(y, eps, 3.0 + eps, 3)
+        prox = _ball_dual_prox(v.copy(), y, eps)
+        # Moreau: the prox of the conjugate and the projection onto the ball add up to v
+        proj = y + eps * (v - y) / np.linalg.norm(v - y)
+        np.testing.assert_allclose(prox + proj, v, rtol=0, atol=1e-13)
+        # and it minimises the prox objective of the conjugate
+        best = self._conj_prox_objective(prox, v, y, eps)
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            z = prox + 1e-3 * rng.standard_normal(y.size)
+            assert best <= self._conj_prox_objective(z, v, y, eps)
+
+    def test_disc_project(self):
+        p = 1.5 * np.random.default_rng(5).standard_normal((2, 6, 11))
+        inside = np.hypot(p[0], p[1]) <= 1.0
+        assert 0 < inside.sum() < inside.size
+        q = _disc_project(p.copy(), np.empty_like(p), np.empty(p.shape[1:]))
+        assert np.array_equal(q[:, inside], p[:, inside])
+        norms = np.hypot(q[0], q[1])
+        assert norms.max() <= 1.0 + 1e-15
+        np.testing.assert_allclose(norms[~inside], 1.0, rtol=1e-15)
+        np.testing.assert_allclose(q[:, ~inside], p[:, ~inside] / np.hypot(p[0], p[1])[~inside],
+                                   rtol=1e-15)
+        np.testing.assert_allclose(_disc_project(q.copy()), q, rtol=1e-15, atol=0)
 
 
 class TestSnr:
