@@ -26,8 +26,8 @@ one small projection per order onto a cached QR basis of its Legendre
 profiles; no ``N x L**2`` matrix is formed.  The reported coefficients are
 the grid's forward transform of the result.
 
-A per-domain feasibility map turns each iterate into a candidate on the
-constraint, and the solver records, per iteration, the TV of the best
+A per-domain feasibility map turns each iterate into the candidate scored
+in its place, and the solver records, per iteration, the TV of the best
 feasible candidate so far (``+inf`` until one exists) and returns it, so
 the recorded objective sequence is non-increasing once feasibility is
 reached.  Noiseless problems (``eps = 0``) are polished to exact
