@@ -52,26 +52,24 @@ def _cmd_weights(args) -> int:
     return EXIT_OK
 
 
-def _cmd_tv_norm(args) -> int:
-    signal, _ = fileio.read_signal(args.infile)
-    value = tv_norm(signal)
-    line = repr(float(value))
-    if args.out:
-        Path(args.out).write_text(line + "\n")
+def _print_result(line: str, out) -> int:
+    """Print a one-line result, or write it to the file ``out`` when given."""
+    if out:
+        Path(out).write_text(line + "\n")
     else:
         print(line)
     return EXIT_OK
+
+
+def _cmd_tv_norm(args) -> int:
+    signal, _ = fileio.read_signal(args.infile)
+    return _print_result(repr(float(tv_norm(signal))), args.out)
 
 
 def _cmd_integrate(args) -> int:
     signal, _ = fileio.read_signal(args.infile)
     value = integrate(signal)
-    line = f"{float(value.real)!r},{float(value.imag)!r}"
-    if args.out:
-        Path(args.out).write_text(line + "\n")
-    else:
-        print(line)
-    return EXIT_OK
+    return _print_result(f"{float(value.real)!r},{float(value.imag)!r}", args.out)
 
 
 def _parse_caps(spec: str):

@@ -18,18 +18,14 @@ satisfy ``sum_t q(theta_t) P_l(cos theta_t) = (2 pi / L) delta_{l0}`` for
 every ``l < 2L``, so the rule is exact for each product of a band-limited
 ``G_m`` with ``cos(m' theta)`` (even ``m``) or ``sin(m' theta)`` (odd
 ``m``), the only parts of ``G_{mm'}`` the contraction reads.  The pole row
-has zero weight, so the forward transform ignores it; the inverse still
-synthesizes it, from :func:`~equisphere.wigner.delta_inverse`'s torus
-coefficients by an inverse FFT on a ``(4L, 2L)`` torus, keeping rows
-``t < 2L``.  Both directions cost ``O(L**3)`` in ``O(L**2)`` memory for
-``L <= 1024``.  Entry checks and per-sample weights are shared with MW
-through ``samples``, the Delta engine through ``wigner``.
+has zero weight, so the forward transform ignores it; the inverse,
+:func:`~equisphere.wigner.synthesize` shared with MW, still synthesizes it.
+The forward transform costs ``O(L**3)`` in ``O(L**2)`` memory for ``L <=
+1024``.  Entry checks and per-sample weights are shared with MW through
+``samples``, the Delta engine through ``wigner``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -37,20 +33,18 @@ from .samples import (
     GridDescriptor,
     GridKind,
     HarmonicCoeffs,
+    RowWeights,
     SphereSignal,
     check_bandlimit,
     checked_grid,
-    contract,
     expand,
-    frozen_array,
     make_grid,
     sample_weights,
     theta_nodes,
 )
-from .wigner import check_delta_bandlimit, delta_forward, delta_inverse
+from .wigner import check_delta_bandlimit, delta_forward, synthesize
 
 __all__ = [
-    "DhWeights",
     "dh_weights",
     "dh_forward",
     "dh_inverse",
@@ -59,19 +53,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DhWeights:
-    """Per-latitude-row quadrature weights ``q(theta_t)``, ``t < 2L``."""
-
-    kind: ClassVar[GridKind] = GridKind.DH
-    L: int
-    q: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", frozen_array(self.q, 2 * self.L, "q", np.float64))
-
-
-def dh_weights(L: int) -> DhWeights:
+def dh_weights(L: int) -> RowWeights:
     """Quadrature weights for the DH grid at band-limit ``L``."""
     L = check_bandlimit(L)
     theta = theta_nodes(make_grid(GridKind.DH, L))  # pi t / 2L, t < 2L
@@ -81,7 +63,7 @@ def dh_weights(L: int) -> DhWeights:
     inv_odd[:L] = 1.0 / (2 * np.arange(L) + 1)
     s = (np.exp(1j * theta) * np.fft.ifft(inv_odd) * (2 * L)).imag
     q = (2 * np.pi / L**2) * np.sin(theta) * s
-    return DhWeights(L, q)
+    return RowWeights(GridKind.DH, L, q)
 
 
 def dh_forward(signal: SphereSignal) -> HarmonicCoeffs:
@@ -100,15 +82,7 @@ def dh_forward(signal: SphereSignal) -> HarmonicCoeffs:
 
 def dh_inverse(coeffs: HarmonicCoeffs, L: int | None = None) -> SphereSignal:
     """Synthesize the band-limited expansion at every DH node."""
-    grid = checked_grid(GridKind.DH, coeffs, L)
-    L = grid.L
-    orders = np.arange(1 - L, L)
-    torus = np.zeros((4 * L, 2 * L - 1), dtype=np.complex128)  # [m', m]
-    torus[orders] = delta_inverse(coeffs.values, L).T
-    h = np.zeros((grid.n_theta, grid.n_phi), dtype=np.complex128)
-    h[:, orders] = np.fft.ifft(torus, axis=0)[: 2 * L] * (4 * L)  # rows t < 2L
-    f = np.fft.ifft(h, axis=1) * grid.n_phi
-    return SphereSignal(grid, contract(grid, f))
+    return synthesize(GridKind.DH, coeffs, L)
 
 
 def dh_sample_weights(grid: GridDescriptor) -> np.ndarray:

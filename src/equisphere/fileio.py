@@ -3,7 +3,11 @@
 Text formats are CSV with a single header line and one node (or
 coefficient) per row, two columns ``re,im`` for complex payloads and one
 column for real ones.  Floats are written with shortest round-trip
-precision, so write -> read -> write is byte-identical.
+precision, so write -> read -> write is byte-identical.  Rows are read by
+``numpy.loadtxt``: empty lines, spaces around a value and CRLF line ends
+are accepted; a line of spaces only, an empty field (a trailing comma),
+``#``, quoted values, hex floats and digits grouped with underscores
+(``1_0``, which Python's ``float`` would read as 10) are rejected.
 
 The binary container is a 64-byte little-endian header followed by raw
 float64 payload (interleaved re/im for complex):
@@ -27,12 +31,13 @@ comment.  Result CSVs carry one row per (kind, domain, ratio) cell.
 from __future__ import annotations
 
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .inpaint import ExperimentCell, ExperimentConfig
-from .samples import GridKind, HarmonicCoeffs, SphereSignal, as_kind, make_grid
+from .samples import GridKind, HarmonicCoeffs, SphereSignal, check_bandlimit, make_grid
 
 __all__ = [
     "FormatError",
@@ -48,10 +53,11 @@ __all__ = [
 
 _MAGIC = b"EQSPHBIN"
 _VERSION = 1
-_SIGNAL_TAG = "equisphere-signal"
-_COEFFS_TAG = "equisphere-coeffs"
+_HEADER = struct.Struct("<8sIIIIIQ28x")
+_TAGS = {1: "equisphere-signal", 2: "equisphere-coeffs"}  # by record type
 _KIND_CODE = {GridKind.DH: 0, GridKind.MW: 1}
 _CODE_KIND = {0: GridKind.DH, 1: GridKind.MW}
+_VTYPE = {0: "real", 1: "complex"}
 
 
 class FormatError(ValueError):
@@ -62,200 +68,118 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _rows(values: np.ndarray, complex_vals: bool):
-    if complex_vals:
-        for v in values:
-            yield f"{_fmt(v.real)},{_fmt(v.imag)}\n"
-    else:
-        for v in values:
-            yield f"{_fmt(v.real)}\n"
+def _write(path, kind, L: int, values: np.ndarray, complex_vals: bool, binary: bool) -> None:
+    """Write a signal on a ``kind`` grid, or coefficients when ``kind`` is None."""
+    rectype, vcode = (2 if kind is None else 1), (1 if complex_vals else 0)
+    with open(path, "wb" if binary else "w") as fh:
+        if binary:
+            raw = np.ascontiguousarray(values).view(np.float64)  # interleaved re, im
+            payload = (raw if complex_vals else raw[::2]).astype("<f8")
+            fh.write(_HEADER.pack(_MAGIC, _VERSION, rectype, _KIND_CODE.get(kind, 0xFF), L,
+                                  vcode, payload.size))
+            fh.write(payload)
+            return
+        fields = (L,) if kind is None else (kind.value, L, _VTYPE[vcode])
+        fh.write(",".join(map(str, (_TAGS[rectype], _VERSION, *fields))) + "\n")
+        # one row at a time: the payload text is never held whole
+        if complex_vals:
+            fh.writelines(f"{_fmt(v.real)},{_fmt(v.imag)}\n" for v in values)
+        else:
+            fh.writelines(f"{_fmt(v)}\n" for v in values.real)
 
 
-def _finite(values: np.ndarray, path) -> np.ndarray:
-    bad = np.flatnonzero(~np.isfinite(values))
+def _read(path, rectype: int):
+    """Grid (None for coefficients), band-limit, complex flag and values of a
+    signal (record type 1) or coefficient (2) file in either encoding."""
+    path = Path(path)
+    what = ("signal", "coefficient")[rectype - 1]
+    try:
+        with open(path, "rb") as fh:
+            binary = fh.read(8) == _MAGIC
+        with open(path, "rb" if binary else "r") as fh:
+            if binary:
+                head = fh.read(_HEADER.size)
+                if len(head) != _HEADER.size:
+                    raise FormatError(f"{path}: truncated binary header")
+                _, version, rtype, code, L, vcode, count = _HEADER.unpack(head)
+                tag, kind = _TAGS.get(rtype), _CODE_KIND.get(code, code)
+                vtype = _VTYPE.get(vcode, vcode)
+            else:
+                header = fh.readline().strip().split(",")
+                if len(header) != (5 if rectype == 1 else 3):
+                    raise FormatError(f"{path}: not a {what} file")
+                if rectype == 2:  # no grid kind; always complex
+                    header = [*header[:2], None, header[2], "complex"]
+                tag, version, kind, L, vtype = header
+            if tag != _TAGS[rectype]:
+                raise FormatError(f"{path}: not a {what} file")
+            if str(version) != str(_VERSION):
+                raise FormatError(f"{path}: unsupported version {version}")
+            if vtype not in ("real", "complex")[rectype - 1 :]:  # coefficients are complex
+                raise FormatError(f"{path}: unknown value type {vtype!r}")
+            try:
+                L = check_bandlimit(int(L))
+                grid = make_grid(kind, L) if rectype == 1 else None
+            except ValueError as err:
+                raise FormatError(f"{path}: {err}") from None
+            n = L * L if grid is None else grid.n_samples
+            width = 2 if vtype == "complex" else 1
+            if binary:
+                payload = fh.read()
+                if len(payload) % (8 * width):  # whole real or complex values
+                    raise FormatError(
+                        f"{path}: payload of {len(payload)} bytes is not whole values")
+                rows = np.frombuffer(payload, dtype="<f8")
+                if rows.size != count:
+                    raise FormatError(f"{path}: expected {count} payload values, found {rows.size}")
+                rows = rows.reshape(-1, width)
+            else:
+                # Every row takes at least one byte, so a header claiming more
+                # rows than the file has bytes is refused before they are read.
+                if n > path.stat().st_size:
+                    raise FormatError(f"{path}: expected {n} payload rows, file is too short")
+                try:
+                    with warnings.catch_warnings():
+                        # about blank lines or no rows at all; the row count is checked below
+                        warnings.simplefilter("ignore", UserWarning)
+                        rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                                          max_rows=n + 1)
+                except ValueError as err:
+                    raise FormatError(f"{path}: bad payload: {err}") from None
+    except (OSError, UnicodeDecodeError) as err:
+        raise FormatError(f"{path}: {err}") from None
+    if rows.shape != (n, width):
+        raise FormatError(f"{path}: expected {n} payload rows of {width} values, "
+                          f"read {rows.shape[0]} of {rows.shape[1]}")
+    bad = np.flatnonzero(~np.isfinite(rows))
     if bad.size:
         raise FormatError(f"{path}: non-finite payload value at element {bad[0]}")
-    return values
-
-
-def _parse_rows(lines, n: int, complex_vals: bool, path) -> np.ndarray:
-    # Every row takes at least one byte, so a header claiming more rows than
-    # the file has bytes is refused before its payload array is allocated.
-    if n > Path(path).stat().st_size:
-        raise FormatError(f"{path}: expected {n} payload rows, file is too short")
-    out = np.empty(n, dtype=np.complex128)
-    count = 0
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        if count >= n:
-            raise FormatError(f"{path}: more than {n} payload rows")
-        parts = line.split(",")
-        try:
-            if complex_vals:
-                if len(parts) != 2:
-                    raise ValueError
-                out[count] = complex(float(parts[0]), float(parts[1]))
-            else:
-                if len(parts) != 1:
-                    raise ValueError
-                out[count] = float(parts[0])
-        except ValueError:
-            raise FormatError(f"{path}: bad payload row {line!r}") from None
-        count += 1
-    if count != n:
-        raise FormatError(f"{path}: expected {n} payload rows, found {count}")
-    return _finite(out, path)
-
-
-def _write_binary(path: Path, rectype: int, kind_code: int, L: int,
-                  complex_vals: bool, values: np.ndarray) -> None:
-    payload = (
-        np.ascontiguousarray(
-            np.stack([values.real, values.imag], axis=1).ravel()
-        )
-        if complex_vals
-        else np.ascontiguousarray(values.real)
-    ).astype("<f8")
-    header = struct.pack(
-        "<8sIIIIIQ28x",
-        _MAGIC,
-        _VERSION,
-        rectype,
-        kind_code,
-        L,
-        1 if complex_vals else 0,
-        payload.size,
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload.tobytes())
-
-
-def _read_binary(path: Path):
-    with open(path, "rb") as fh:
-        header = fh.read(64)
-        if len(header) != 64:
-            raise FormatError(f"{path}: truncated binary header")
-        magic, version, rectype, kind_code, L, vtype, count = struct.unpack(
-            "<8sIIIIIQ28x", header
-        )
-        if magic != _MAGIC:
-            raise FormatError(f"{path}: bad magic")
-        if version != _VERSION:
-            raise FormatError(f"{path}: unsupported format version {version}")
-        payload = fh.read()
-    if len(payload) % (16 if vtype == 1 else 8):  # whole real or complex values
-        raise FormatError(f"{path}: payload of {len(payload)} bytes is not whole values")
-    raw = np.frombuffer(payload, dtype="<f8")
-    if raw.size != count:
-        raise FormatError(f"{path}: expected {count} payload values, found {raw.size}")
-    _finite(raw, path)
-    if vtype == 1:
-        values = raw[0::2] + 1j * raw[1::2]
-    else:
-        values = raw.astype(np.complex128)
-    return rectype, kind_code, L, vtype == 1, values
-
-
-def _is_binary(path: Path) -> bool:
-    with open(path, "rb") as fh:
-        return fh.read(8) == _MAGIC
+    values = np.zeros((n, 2))  # re, im
+    values[:, :width] = rows
+    return grid, L, width == 2, values.view(np.complex128)[:, 0]
 
 
 def write_signal(path, signal: SphereSignal, complex_vals: bool = True,
                  binary: bool = False) -> None:
     """Write a signal file; ``complex_vals=False`` stores the real parts only."""
-    path = Path(path)
-    if binary:
-        _write_binary(path, 1, _KIND_CODE[signal.grid.kind], signal.grid.L,
-                      complex_vals, signal.values)
-        return
-    with open(path, "w") as fh:
-        vtype = "complex" if complex_vals else "real"
-        fh.write(f"{_SIGNAL_TAG},{_VERSION},{signal.grid.kind.value},"
-                 f"{signal.grid.L},{vtype}\n")
-        fh.writelines(_rows(signal.values, complex_vals))
+    _write(path, signal.grid.kind, signal.grid.L, signal.values, complex_vals, binary)
 
 
 def read_signal(path) -> tuple[SphereSignal, bool]:
     """Read a signal file; returns the signal and its declared complex flag."""
-    path = Path(path)
-    try:
-        if _is_binary(path):
-            rectype, kind_code, L, complex_vals, values = _read_binary(path)
-            if rectype != 1:
-                raise FormatError(f"{path}: not a signal record")
-            if kind_code not in _CODE_KIND:
-                raise FormatError(f"{path}: unknown grid kind code {kind_code}")
-            grid = make_grid(_CODE_KIND[kind_code], L)
-            if values.size != grid.n_samples:
-                raise FormatError(
-                    f"{path}: expected {grid.n_samples} samples, found {values.size}"
-                )
-            return SphereSignal(grid, values), complex_vals
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            if len(header) != 5 or header[0] != _SIGNAL_TAG:
-                raise FormatError(f"{path}: not a signal file")
-            tag, version, kind, L_str, vtype = header
-            if version != str(_VERSION):
-                raise FormatError(f"{path}: unsupported version {version}")
-            if vtype not in ("real", "complex"):
-                raise FormatError(f"{path}: unknown value type {vtype!r}")
-            try:
-                grid = make_grid(as_kind(kind), int(L_str))
-            except ValueError as err:
-                raise FormatError(f"{path}: {err}") from None
-            complex_vals = vtype == "complex"
-            values = _parse_rows(fh, grid.n_samples, complex_vals, path)
-        return SphereSignal(grid, values), complex_vals
-    except OSError as err:
-        raise FormatError(f"{path}: {err}") from None
+    grid, _, complex_vals, values = _read(path, 1)
+    return SphereSignal(grid, values), complex_vals
 
 
 def write_coeffs(path, coeffs: HarmonicCoeffs, binary: bool = False) -> None:
     """Write a coefficient file (always complex, flat-index order)."""
-    path = Path(path)
-    if binary:
-        _write_binary(path, 2, 0xFF, coeffs.L, True, coeffs.values)
-        return
-    with open(path, "w") as fh:
-        fh.write(f"{_COEFFS_TAG},{_VERSION},{coeffs.L}\n")
-        fh.writelines(_rows(coeffs.values, True))
+    _write(path, None, coeffs.L, coeffs.values, True, binary)
 
 
 def read_coeffs(path) -> HarmonicCoeffs:
     """Read a coefficient file."""
-    path = Path(path)
-    try:
-        if _is_binary(path):
-            rectype, _kind, L, complex_vals, values = _read_binary(path)
-            if rectype != 2 or not complex_vals:
-                raise FormatError(f"{path}: not a coefficient record")
-            if values.size != L * L:
-                raise FormatError(
-                    f"{path}: expected {L * L} coefficients, found {values.size}"
-                )
-            return HarmonicCoeffs(L, values)
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            if len(header) != 3 or header[0] != _COEFFS_TAG:
-                raise FormatError(f"{path}: not a coefficient file")
-            _tag, version, L_str = header
-            if version != str(_VERSION):
-                raise FormatError(f"{path}: unsupported version {version}")
-            try:
-                L = int(L_str)
-            except ValueError:
-                raise FormatError(f"{path}: bad band-limit {L_str!r}") from None
-            if L < 1:
-                raise FormatError(f"{path}: bad band-limit {L}")
-            values = _parse_rows(fh, L * L, True, path)
-        return HarmonicCoeffs(L, values)
-    except OSError as err:
-        raise FormatError(f"{path}: {err}") from None
+    _, L, _, values = _read(path, 2)
+    return HarmonicCoeffs(L, values)
 
 
 def _split_list(value: str) -> list[str]:
@@ -266,7 +190,7 @@ def _split_list(value: str) -> list[str]:
 # of the same name; ``signal_coeffs`` (a coefficient file) sets ``coeffs``
 _CONFIG_KEYS = {
     "L": int,
-    "kinds": lambda v: tuple(as_kind(k) for k in _split_list(v)),
+    "kinds": lambda v: tuple(_split_list(v)),
     "domains": lambda v: tuple(_split_list(v)),
     "ratios": lambda v: tuple(float(r) for r in _split_list(v)),
     "trials": int,
@@ -302,8 +226,8 @@ def parse_experiment_config(text: str, base_dir: Path | None = None) -> Experime
         if base_dir is not None and not coeff_path.is_absolute():
             coeff_path = base_dir / coeff_path
         values["coeffs"] = read_coeffs(coeff_path)
-    config = ExperimentConfig(**values)
     try:
+        config = ExperimentConfig(**values)
         config.validate()
     except ValueError as err:
         raise FormatError(str(err)) from None

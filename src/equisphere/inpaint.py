@@ -52,6 +52,7 @@ from .samples import (
     GridMismatchError,
     HarmonicCoeffs,
     SphereSignal,
+    as_kind,
     checked_grid,
     contract_adjoint,
     theta_nodes,
@@ -625,6 +626,15 @@ class ExperimentConfig:
     coeffs: HarmonicCoeffs | None = None  # overrides the cap signal
     out: str | None = None
 
+    def __post_init__(self):
+        for name in ("trials", "seed", "max_iter"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                value = getattr(self, name)
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        object.__setattr__(self, "kinds", tuple(as_kind(k) for k in self.kinds))
+
     def validate(self):
         if self.L < 2:
             raise ValueError("experiment band-limit must be at least 2")
@@ -640,6 +650,8 @@ class ExperimentConfig:
             raise ValueError("solver tolerance must be finite and positive")
         if self.max_iter < 1:
             raise ValueError("iteration budget must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         for d in self.domains:
             if d not in SolveDomain.ALL:
                 raise ValueError(f"unknown solve domain {d!r}")

@@ -19,17 +19,13 @@ The forward transform runs, in order:
 
 Every step is exact for band-limited inputs, so the whole chain is an
 exact forward transform at ``O(L**3)`` cost, for ``L <= 1024`` (the Delta
-recursion's range).  The inverse takes the torus coefficients from
-:func:`~equisphere.wigner.delta_inverse`, applies the half-sample phase and
-ends with an inverse 2-D FFT onto the sample grid.  Only spin zero (scalar)
-signals are supported.  Entry checks and per-sample weights are shared
-with DH through ``samples``, the Delta engine through ``wigner``.
+recursion's range).  The inverse is :func:`~equisphere.wigner.synthesize`,
+shared with DH.  Only spin zero (scalar) signals are supported.  Entry
+checks and per-sample weights are shared with DH through ``samples``, the
+Delta engine through ``wigner``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -38,18 +34,16 @@ from .samples import (
     GridDescriptor,
     GridKind,
     HarmonicCoeffs,
+    RowWeights,
     SphereSignal,
     check_bandlimit,
     checked_grid,
-    contract,
     expand,
-    frozen_array,
     sample_weights,
 )
-from .wigner import check_delta_bandlimit, delta_forward, delta_inverse
+from .wigner import check_delta_bandlimit, delta_forward, synthesize
 
 __all__ = [
-    "MwWeights",
     "mw_weights",
     "mw_forward",
     "mw_inverse",
@@ -72,19 +66,7 @@ def _weight_fn(mp: np.ndarray) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
-class MwWeights:
-    """Per-latitude-row quadrature weights ``q(theta_t)``, ``t < L``."""
-
-    kind: ClassVar[GridKind] = GridKind.MW
-    L: int
-    q: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", frozen_array(self.q, self.L, "q", np.float64))
-
-
-def mw_weights(L: int) -> MwWeights:
+def mw_weights(L: int) -> RowWeights:
     """Quadrature data for the MW grid at band-limit ``L``.
 
     ``q(theta_t) = (2 pi / (2L-1)) [v(theta_t) + (1 - delta_{t,L-1})
@@ -104,7 +86,7 @@ def mw_weights(L: int) -> MwWeights:
             f"MW weights have imaginary residue {np.abs(q.imag).max():.3e} "
             f"above {_IMAG_TOL:.0e}; convention error likely"
         )
-    return MwWeights(L, q.real)
+    return RowWeights(GridKind.MW, L, q.real)
 
 
 def _torus_spectrum(signal: SphereSignal) -> np.ndarray:
@@ -138,13 +120,7 @@ def mw_forward(signal: SphereSignal) -> HarmonicCoeffs:
 
 def mw_inverse(coeffs: HarmonicCoeffs, L: int | None = None) -> SphereSignal:
     """Synthesize the band-limited expansion at every MW node."""
-    grid = checked_grid(GridKind.MW, coeffs, L)
-    L = grid.L
-    n = 2 * L - 1
-    f_mm = delta_inverse(coeffs.values, L)
-    f_mm *= np.exp(1j * np.pi * np.arange(-(L - 1), L) / n)  # half-sample phase
-    torus = np.fft.ifft2(np.fft.ifftshift(f_mm.T)) * n * n  # [t, p]
-    return SphereSignal(grid, contract(grid, torus[:L, :]))
+    return synthesize(GridKind.MW, coeffs, L)
 
 
 def mw_sample_weights(grid: GridDescriptor) -> np.ndarray:

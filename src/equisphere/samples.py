@@ -35,6 +35,7 @@ __all__ = [
     "GridMismatchError",
     "HarmonicCoeffs",
     "SphereSignal",
+    "RowWeights",
     "make_grid",
     "sample_count",
     "flat_index",
@@ -248,6 +249,21 @@ class SphereSignal:
             "values",
             frozen_array(self.values, self.grid.n_samples, "signal samples"),
         )
+
+
+@dataclass(frozen=True)
+class RowWeights:
+    """Per-latitude-row quadrature weights ``q(theta_t)`` of a grid, ``t < n_theta``."""
+
+    kind: GridKind
+    L: int
+    q: np.ndarray
+
+    def __post_init__(self):
+        grid = make_grid(self.kind, self.L)
+        object.__setattr__(self, "kind", grid.kind)
+        object.__setattr__(self, "L", grid.L)
+        object.__setattr__(self, "q", frozen_array(self.q, grid.n_theta, "q", np.float64))
 
 
 def checked_grid(kind, data, L: int | None = None) -> GridDescriptor:

@@ -7,7 +7,9 @@ The discrete norm approximates ``int |grad f| dOmega`` by
 
 with forward differences ``(D_theta x)_{t,p} = x_{t+1,p} - x_{t,p}`` (zero
 on the last row) and cyclic forward differences along longitude, both
-divided by the node spacing.  Because ``q(theta_t)`` carries a
+divided by the node spacing.  The row weights ``q`` are the grid's
+quadrature weights (a :class:`~equisphere.samples.RowWeights` of either
+kind) unless the caller passes its own.  Because ``q(theta_t)`` carries a
 ``sin(theta_t)`` factor, the ``1/sin(theta)`` in the gradient magnitude
 never blows up; pole rows are single-valued so their longitude term is
 identically zero and is excluded from the weighted operator.
@@ -33,6 +35,7 @@ import numpy as np
 from .samples import (
     GridDescriptor,
     GridMismatchError,
+    RowWeights,
     SphereSignal,
     checked_grid,
     contract_adjoint,
@@ -40,8 +43,6 @@ from .samples import (
     expand_values,
     theta_nodes,
 )
-from .dh import DhWeights
-from .mw import MwWeights
 from .transforms import row_weights
 
 __all__ = [
@@ -105,7 +106,7 @@ def gradient(signal: SphereSignal) -> GradientField:
 def _resolve_weights(grid: GridDescriptor, weights) -> np.ndarray:
     if weights is None:
         return row_weights(grid)
-    if isinstance(weights, (DhWeights, MwWeights)):
+    if isinstance(weights, RowWeights):
         if weights.kind is not grid.kind or weights.L != grid.L:
             raise GridMismatchError(
                 f"{weights.kind.name} weights do not match the signal grid"
@@ -208,9 +209,9 @@ def tv_gradient(signal: SphereSignal, weights=None) -> GradientField:
 
     Args:
         signal: Samples on either grid.
-        weights: Matching :class:`~equisphere.dh.DhWeights`,
-            :class:`~equisphere.mw.MwWeights`, or a raw per-row vector of
-            finite, non-negative values; computed from the grid when omitted.
+        weights: A :class:`~equisphere.samples.RowWeights` of the signal's
+            grid kind and band-limit, or a raw per-row vector of finite,
+            non-negative values; computed from the grid when omitted.
     """
     grid = signal.grid
     d_theta, d_phi = tv_apply_raw(grid, _row_scales(grid, weights), signal.values)
@@ -221,7 +222,9 @@ def tv_norm(signal: SphereSignal, weights=None) -> float:
     """Quadrature-weighted discrete TV norm of a signal.
 
     Complex signals are handled as the TV of the real part plus the TV of
-    the imaginary part; the experiment pipeline is real-valued.
+    the imaginary part; the experiment pipeline is real-valued.  ``weights``
+    are as for :func:`tv_gradient`: a matching ``RowWeights``, a raw per-row
+    vector, or None for the grid's own.
     """
     grid = checked_grid(None, signal)
     scales = _row_scales(grid, weights)
@@ -234,7 +237,8 @@ def gradient_adjoint(field: GradientField, weights=None) -> SphereSignal:
     """Exact adjoint of :func:`tv_gradient`, as a signal on the same grid.
 
     Satisfies ``<tv_gradient(x), u> == <x, gradient_adjoint(u)>`` to
-    rounding for real inputs.
+    rounding for real inputs, with the same ``weights`` (a ``RowWeights``,
+    raw rows or None) on both sides.
     """
     grid = field.grid
     stacked = np.stack((field.d_theta, field.d_phi))

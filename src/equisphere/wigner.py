@@ -39,13 +39,14 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .samples import check_bandlimit
+from .samples import SphereSignal, check_bandlimit, checked_grid, contract
 
 __all__ = [
     "check_delta_bandlimit",
     "delta_forward",
     "delta_inverse",
     "norm_legendre_tables",
+    "synthesize",
     "ylm_points",
 ]
 
@@ -277,3 +278,35 @@ def delta_inverse(values: np.ndarray, L: int) -> np.ndarray:
         f[L - 1 :: -1, L - 1 + p :: 2] = part[:, 2] + 1j * part[:, 3]
     f[:, : L - 1] = parity[:, None] * f[:, : L - 1 : -1]
     return f
+
+
+def synthesize(kind, coeffs, L: int | None = None) -> SphereSignal:
+    """Samples of a band-limited expansion at every node of the ``kind`` grid.
+
+    This is both grids' inverse transform.  Row ``t`` sits at ``theta_t =
+    pi (2t + theta_offset) / theta_steps``, so the rows are nodes of a torus
+    of ``theta_steps`` colatitudes (DH ``4L``, MW ``2L - 1``).  The torus
+    coefficients from :func:`delta_inverse` are zero-padded to that many
+    orders ``m'``.  On a grid half a step off the pole (MW) they take the
+    phase ``e^{i pi m' / theta_steps}``.  An inverse FFT over colatitude
+    gives the torus rows, of which the first ``n_theta`` are kept; an inverse
+    FFT over longitude gives the samples.  It costs ``O(L**3)`` time in
+    ``O(L**2)`` memory for ``L <= 1024``.  ``L``, if given, must equal the
+    coefficients' band-limit.
+    """
+    grid = checked_grid(kind, coeffs, L)
+    L, steps = grid.L, grid.theta_steps
+    orders = np.arange(1 - L, L)  # m and m', negative ones wrapped
+    f_mm = delta_inverse(coeffs.values, L)
+    if grid.theta_offset:  # half-step phase
+        f_mm *= np.exp(1j * np.pi * orders / steps)
+    torus = np.zeros((steps, 2 * L - 1), dtype=np.complex128)  # [m', m]
+    torus[orders] = f_mm.T
+    del f_mm  # each temporary goes as soon as the next is made, to bound the peak
+    rows = np.fft.ifft(torus, axis=0)[: grid.n_theta]
+    del torus
+    h = np.zeros((grid.n_theta, grid.n_phi), dtype=np.complex128)
+    h[:, orders] = rows * steps
+    del rows
+    f = np.fft.ifft(h, axis=1) * grid.n_phi
+    return SphereSignal(grid, contract(grid, f))

@@ -681,6 +681,32 @@ class TestRunExperiment:
                 ExperimentConfig(**bad).validate()
         ExperimentConfig(max_iter=2).validate()
 
+    @pytest.mark.parametrize("name", ["trials", "seed", "max_iter"])
+    def test_integer_fields(self, name):
+        # rejected by name when the config is made, not deep inside the sweep
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig(**{name: 1.5})
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig(**{name: "3"})
+        cfg = ExperimentConfig(**{name: np.int64(3)})
+        assert type(getattr(cfg, name)) is int and getattr(cfg, name) == 3
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            ExperimentConfig(seed=-1).validate()
+
+    def test_kind_strings_coerced(self):
+        cfg = ExperimentConfig(
+            L=4, kinds=("mw", "DH"), domains=(SolveDomain.SPATIAL,), ratios=(1.0,),
+            trials=1, max_iter=2500,
+        )
+        assert cfg.kinds == (GridKind.MW, GridKind.DH)
+        rows, manifest = run_experiment(cfg)
+        assert [r.kind for r in rows] == [GridKind.MW, GridKind.DH]
+        assert manifest["config"]["kinds"] == ["mw", "dh"]
+        with pytest.raises(ValueError, match="unknown grid kind"):
+            ExperimentConfig(kinds=("gauss",))
+
 
 class TestCapSignalSparsity:
     def test_caps_sparser_than_random(self):

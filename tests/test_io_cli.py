@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -86,6 +87,66 @@ class TestSignalFiles:
         with pytest.raises(FormatError):
             read_signal(tmp_path / "nope.sig")
 
+    def test_text_write_streams_rows(self, tmp_path, rng):
+        # an L = 128 DH signal is about 2.6 MB of text; joined in memory
+        # before writing it would peak near 9 MB
+        g = make_grid("dh", 128)
+        sig = SphereSignal(
+            g, rng.standard_normal(g.n_samples) + 1j * rng.standard_normal(g.n_samples)
+        )
+        tracemalloc.start()
+        try:
+            write_signal(tmp_path / "big.sig", sig)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "big.sig").stat().st_size > 2e6
+        assert peak < 1e6
+
+
+class TestTextRowGrammar:
+    # payload rows of an L = 2 coefficient file, as numpy.loadtxt parses them
+    ROWS = ["1.5,-2.0", "0.25,0.0", "-3.0,4.5", "1e-3,2E2"]
+    VALUES = [1.5 - 2j, 0.25, -3 + 4.5j, 1e-3 + 200j]
+
+    @staticmethod
+    def _read(tmp_path, rows, newline="\n"):
+        p = tmp_path / "c.coef"
+        p.write_bytes(newline.join(["equisphere-coeffs,1,2", *rows, ""]).encode())
+        return read_coeffs(p).values
+
+    @pytest.mark.parametrize(
+        "rows, newline",
+        [
+            (ROWS, "\n"),
+            (["", ROWS[0], "", "", *ROWS[1:], ""], "\n"),  # blank lines
+            ([" 1.5 , -2.0", "0.25,\t0.0 ", *ROWS[2:]], "\n"),  # spaces around values
+            (ROWS, "\r\n"),
+        ],
+        ids=["plain", "blank-lines", "spaces", "crlf"],
+    )
+    def test_accepted(self, tmp_path, rows, newline):
+        assert np.array_equal(self._read(tmp_path, rows, newline), self.VALUES)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "1.5,-2.0,",  # trailing comma: an empty third field
+            "1.5,-2.0 # note",
+            '"1.5",-2.0',
+            "0x1.8p+0,-2.0",
+            "1_5,-2.0",  # float() reads 15.0; loadtxt does not take the underscore
+        ],
+    )
+    def test_rejected(self, tmp_path, row):
+        with pytest.raises(FormatError, match="bad payload"):
+            self._read(tmp_path, [row, *self.ROWS[1:]])
+
+    def test_whitespace_only_line_rejected(self, tmp_path):
+        # an empty line is skipped, a line of spaces is a row with no value
+        with pytest.raises(FormatError, match="bad payload"):
+            self._read(tmp_path, [self.ROWS[0], "   ", *self.ROWS[1:]])
+
 
 class TestNonFinitePayload:
     @pytest.mark.parametrize("binary", [False, True])
@@ -150,6 +211,15 @@ class TestCoeffFiles:
         assert np.array_equal(back.values, hc.values)
         write_coeffs(p2, back, binary=binary)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_written_bytes(self, tmp_path):
+        hc = HarmonicCoeffs(1, [1.5 - 2j])
+        write_coeffs(tmp_path / "c.txt", hc)
+        assert (tmp_path / "c.txt").read_bytes() == b"equisphere-coeffs,1,1\n1.5,-2.0\n"
+        write_coeffs(tmp_path / "c.bin", hc, binary=True)
+        header = struct.pack("<8sIIIIIQ28x", b"EQSPHBIN", 1, 2, 0xFF, 1, 1, 2)
+        payload = np.array([1.5, -2.0], dtype="<f8").tobytes()
+        assert (tmp_path / "c.bin").read_bytes() == header + payload
 
     def test_payload_length_contract(self, tmp_path, rng):
         hc = random_coeffs(3, rng)

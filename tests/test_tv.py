@@ -7,6 +7,7 @@ from equisphere.mw import mw_inverse, mw_weights
 from equisphere.samples import (
     GridMismatchError,
     HarmonicCoeffs,
+    RowWeights,
     SphereSignal,
     make_grid,
     random_coeffs,
@@ -111,6 +112,9 @@ class TestTvNorm:
         with pytest.raises(GridMismatchError):
             tv_norm(sig, mw_weights(5))
         assert tv_norm(sig, mw_weights(4)) == 0.0
+        assert tv_norm(sig, RowWeights("MW", 4, mw_weights(4).q)) == 0.0
+        with pytest.raises(ValueError, match="shape"):
+            RowWeights("mw", 4, np.ones(5))
 
     @pytest.mark.parametrize(
         "bad, message",
