@@ -30,14 +30,13 @@ from __future__ import annotations
 import numpy as np
 
 from .samples import (
-    GridDescriptor,
     GridKind,
     HarmonicCoeffs,
-    RowWeights,
     SphereSignal,
     check_bandlimit,
     checked_grid,
     expand,
+    frozen_array,
     make_grid,
     sample_weights,
     theta_nodes,
@@ -49,12 +48,11 @@ __all__ = [
     "dh_forward",
     "dh_inverse",
     "dh_integrate",
-    "dh_sample_weights",
 ]
 
 
-def dh_weights(L: int) -> RowWeights:
-    """Quadrature weights for the DH grid at band-limit ``L``."""
+def dh_weights(L: int) -> np.ndarray:
+    """DH row weights ``q(theta_t)``, ``t < 2L``, as a read-only float64 vector."""
     L = check_bandlimit(L)
     theta = theta_nodes(make_grid(GridKind.DH, L))  # pi t / 2L, t < 2L
     # sum_{k<L} sin((2k+1) theta_t) / (2k+1) = Im(e^{i theta_t} sum_k e^{2 pi i k t / 2L}
@@ -63,7 +61,7 @@ def dh_weights(L: int) -> RowWeights:
     inv_odd[:L] = 1.0 / (2 * np.arange(L) + 1)
     s = (np.exp(1j * theta) * np.fft.ifft(inv_odd) * (2 * L)).imag
     q = (2 * np.pi / L**2) * np.sin(theta) * s
-    return RowWeights(GridKind.DH, L, q)
+    return frozen_array(q, 2 * L, "DH weights", np.float64)
 
 
 def dh_forward(signal: SphereSignal) -> HarmonicCoeffs:
@@ -76,18 +74,13 @@ def dh_forward(signal: SphereSignal) -> HarmonicCoeffs:
     orders = np.arange(1 - L, L)  # m and m', negative ones wrapped
     g = np.fft.fft(expand(signal), axis=1)[:, orders]  # sum_p f e^{-i m phi_p}
     # sum_t q(theta_t) g e^{-i m' theta_t}, theta_t = 2 pi t / 4L: zero-padded FFT
-    g_mm = np.fft.fft(dh_weights(L).q[:, None] * g, n=4 * L, axis=0)[orders].T
+    g_mm = np.fft.fft(dh_weights(L)[:, None] * g, n=4 * L, axis=0)[orders].T
     return HarmonicCoeffs(L, delta_forward(g_mm, L))
 
 
 def dh_inverse(coeffs: HarmonicCoeffs, L: int | None = None) -> SphereSignal:
     """Synthesize the band-limited expansion at every DH node."""
     return synthesize(GridKind.DH, coeffs, L)
-
-
-def dh_sample_weights(grid: GridDescriptor) -> np.ndarray:
-    """Quadrature weight attached to each stored sample (pole ring folded)."""
-    return sample_weights(checked_grid(GridKind.DH, grid), dh_weights(grid.L).q)
 
 
 def dh_integrate(signal: SphereSignal) -> complex:
@@ -97,4 +90,4 @@ def dh_integrate(signal: SphereSignal) -> complex:
     grid's ``L``.
     """
     grid = checked_grid(GridKind.DH, signal)
-    return complex(dh_sample_weights(grid) @ signal.values)
+    return complex(sample_weights(grid, dh_weights(grid.L)) @ signal.values)

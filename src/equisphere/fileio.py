@@ -227,11 +227,9 @@ def parse_experiment_config(text: str, base_dir: Path | None = None) -> Experime
             coeff_path = base_dir / coeff_path
         values["coeffs"] = read_coeffs(coeff_path)
     try:
-        config = ExperimentConfig(**values)
-        config.validate()
+        return ExperimentConfig(**values)
     except ValueError as err:
         raise FormatError(str(err)) from None
-    return config
 
 
 def read_experiment_config(path) -> ExperimentConfig:

@@ -216,6 +216,7 @@ def make_cap_signal(
         grid: Target grid; fixes both the band-limit and the sample layout.
         caps: Iterable of ``(theta, phi, radius, amplitude)`` tuples.
         smoothing: Smoothing scale ``s`` in radians; defaults to ``2.5 / L``.
+            It and every cap value must be finite (``ValueError`` otherwise).
 
     Returns:
         The synthesized samples and their harmonic coefficients (consistent
@@ -225,7 +226,13 @@ def make_cap_signal(
     if L < 2:
         raise ValueError("cap signals need a band-limit of at least 2")
     s = 2.5 / L if smoothing is None else float(smoothing)
-    theta_c, phi_c, radius, amp = np.array([tuple(c) for c in caps], dtype=np.float64).reshape(-1, 4).T
+    if not math.isfinite(s):
+        raise ValueError(f"smoothing must be finite, got {smoothing!r}")
+    table = np.array([tuple(c) for c in caps], dtype=np.float64).reshape(-1, 4)
+    for name, column in zip(("theta", "phi", "radius", "amplitude"), table.T):
+        if not np.isfinite(column).all():
+            raise ValueError(f"cap {name} must be finite, got {column.tolist()}")
+    theta_c, phi_c, radius, amp = table.T
     x0 = np.cos(radius)
     # P_l(x0), l <= L, by Bonnet's recursion (l + 1) P_{l+1} = (2l + 1) x P_l - l P_{l-1}
     p = np.ones((L + 1, x0.size))
@@ -325,7 +332,7 @@ def _steps(grid: GridDescriptor, mask: np.ndarray, harmonic: bool):
     # the smallest tau as a scalar: a diagonal metric would break their
     # orthogonal projection.
     # Returns sigma per site as an (n_theta, 1) column, and tau.
-    a_theta, a_phi = _row_scales(grid, None)[:, :, 0]
+    a_theta, a_phi = _row_scales(grid)[:, :, 0]
     site = np.maximum(a_theta, a_phi)
     sigma = np.divide(0.5, site, out=np.zeros_like(site), where=site > 0)[:, None]
     ring = a_theta + np.concatenate(([0.0], a_theta[:-1])) + 2.0 * a_phi
@@ -507,7 +514,7 @@ def _solve(problem: InpaintProblem, max_iter: int, tol: float) -> SolveResult:
     # over the stacked dual's shape, and times sigma for the dual step.
     shape = (2, grid.n_theta, grid.n_phi)
     sigma, tau = _steps(grid, mask, harmonic)
-    rows = _row_scales(grid, None)
+    rows = _row_scales(grid)
     scales = np.ascontiguousarray(np.broadcast_to(rows, shape))
     dual_scales = np.ascontiguousarray(np.broadcast_to(rows * sigma, shape))
     full = np.empty(shape[1:])
@@ -610,7 +617,7 @@ def solve_harmonic(problem: InpaintProblem, max_iter: int = 5000, tol: float = 1
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Settings for the reconstruction-quality sweep over both grids."""
+    """Settings for the reconstruction-quality sweep, checked when made (``ValueError``)."""
 
     L: int = 32
     kinds: tuple = (GridKind.DH, GridKind.MW)
@@ -627,15 +634,13 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        for name in ("trials", "seed", "max_iter"):
+        for name in ("L", "trials", "seed", "max_iter"):
             try:
                 object.__setattr__(self, name, operator.index(getattr(self, name)))
             except TypeError:
                 value = getattr(self, name)
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
         object.__setattr__(self, "kinds", tuple(as_kind(k) for k in self.kinds))
-
-    def validate(self):
         if self.L < 2:
             raise ValueError("experiment band-limit must be at least 2")
         if not self.ratios or not all(0 < r < math.inf for r in self.ratios):
@@ -687,7 +692,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[ExperimentCell], dict
         manifest dict with seeds, effective measurement counts, solver
         settings, failures, and wall time.
     """
-    config.validate()
     t_start = time.monotonic()
     snr_lists: dict = {}
     cell_info: list = []

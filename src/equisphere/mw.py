@@ -31,14 +31,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .samples import (
-    GridDescriptor,
     GridKind,
     HarmonicCoeffs,
-    RowWeights,
     SphereSignal,
     check_bandlimit,
     checked_grid,
     expand,
+    frozen_array,
     sample_weights,
 )
 from .wigner import check_delta_bandlimit, delta_forward, synthesize
@@ -48,7 +47,6 @@ __all__ = [
     "mw_forward",
     "mw_inverse",
     "mw_integrate",
-    "mw_sample_weights",
 ]
 
 # Construction must fail loudly if q picks up imaginary residue beyond this.
@@ -66,8 +64,8 @@ def _weight_fn(mp: np.ndarray) -> np.ndarray:
     return w
 
 
-def mw_weights(L: int) -> RowWeights:
-    """Quadrature data for the MW grid at band-limit ``L``.
+def mw_weights(L: int) -> np.ndarray:
+    """MW row weights ``q(theta_t)``, ``t < L``, as a read-only float64 vector.
 
     ``q(theta_t) = (2 pi / (2L-1)) [v(theta_t) + (1 - delta_{t,L-1})
     v(theta_{2L-2-t})]`` where ``v`` is the inverse DFT of the reflected
@@ -86,7 +84,7 @@ def mw_weights(L: int) -> RowWeights:
             f"MW weights have imaginary residue {np.abs(q.imag).max():.3e} "
             f"above {_IMAG_TOL:.0e}; convention error likely"
         )
-    return RowWeights(GridKind.MW, L, q.real)
+    return frozen_array(q.real, L, "MW weights", np.float64)
 
 
 def _torus_spectrum(signal: SphereSignal) -> np.ndarray:
@@ -123,11 +121,6 @@ def mw_inverse(coeffs: HarmonicCoeffs, L: int | None = None) -> SphereSignal:
     return synthesize(GridKind.MW, coeffs, L)
 
 
-def mw_sample_weights(grid: GridDescriptor) -> np.ndarray:
-    """Quadrature weight attached to each stored sample (pole ring folded)."""
-    return sample_weights(checked_grid(GridKind.MW, grid), mw_weights(grid.L).q)
-
-
 def mw_integrate(signal: SphereSignal) -> complex:
     """Integral of a band-limited signal over the sphere via the MW rule.
 
@@ -135,4 +128,4 @@ def mw_integrate(signal: SphereSignal) -> complex:
     grid's ``L``.
     """
     grid = checked_grid(GridKind.MW, signal)
-    return complex(mw_sample_weights(grid) @ signal.values)
+    return complex(sample_weights(grid, mw_weights(grid.L)) @ signal.values)

@@ -35,7 +35,6 @@ __all__ = [
     "GridMismatchError",
     "HarmonicCoeffs",
     "SphereSignal",
-    "RowWeights",
     "make_grid",
     "sample_count",
     "flat_index",
@@ -89,9 +88,12 @@ def as_kind(kind) -> GridKind:
 
 def check_bandlimit(L) -> int:
     """Validate that ``L`` is a positive integer band-limit."""
-    if int(L) != L or L < 1:
-        raise ValueError(f"band-limit must be a positive integer, got {L!r}")
-    return int(L)
+    try:
+        if int(L) == L and L >= 1:
+            return int(L)
+    except (TypeError, ValueError, OverflowError):  # None, inf, nan, text
+        pass
+    raise ValueError(f"band-limit must be a positive integer, got {L!r}")
 
 
 def sample_count(kind, L: int) -> int:
@@ -249,21 +251,6 @@ class SphereSignal:
             "values",
             frozen_array(self.values, self.grid.n_samples, "signal samples"),
         )
-
-
-@dataclass(frozen=True)
-class RowWeights:
-    """Per-latitude-row quadrature weights ``q(theta_t)`` of a grid, ``t < n_theta``."""
-
-    kind: GridKind
-    L: int
-    q: np.ndarray
-
-    def __post_init__(self):
-        grid = make_grid(self.kind, self.L)
-        object.__setattr__(self, "kind", grid.kind)
-        object.__setattr__(self, "L", grid.L)
-        object.__setattr__(self, "q", frozen_array(self.q, grid.n_theta, "q", np.float64))
 
 
 def checked_grid(kind, data, L: int | None = None) -> GridDescriptor:

@@ -1,7 +1,7 @@
 """Each grid kind's transforms, row weights and integral, picked by kind.
 
-Functions are looked up on their module at call time, so one replaced
-there (a tracing wrapper, say) also sees the calls made through here.
+Each is ``<kind>_<operation>`` of the kind's module, looked up at call time,
+so one replaced there (a tracing wrapper, say) also sees the calls made here.
 """
 
 from __future__ import annotations
@@ -13,18 +13,12 @@ from .samples import GridDescriptor, GridKind, HarmonicCoeffs, SphereSignal, as_
 
 __all__ = ["forward", "inverse", "row_weights", "integrate"]
 
-# kind -> (its module, the names there of its operations)
-_TRANSFORMS = {
-    GridKind.DH: (dh, dict(forward="dh_forward", inverse="dh_inverse",
-                           weights="dh_weights", integrate="dh_integrate")),
-    GridKind.MW: (mw, dict(forward="mw_forward", inverse="mw_inverse",
-                           weights="mw_weights", integrate="mw_integrate")),
-}
+_MODULES = {GridKind.DH: dh, GridKind.MW: mw}
 
 
 def _lookup(kind, operation: str):
-    module, names = _TRANSFORMS[as_kind(kind)]
-    return getattr(module, names[operation])
+    kind = as_kind(kind)
+    return getattr(_MODULES[kind], f"{kind.value}_{operation}")
 
 
 def forward(signal: SphereSignal) -> HarmonicCoeffs:
@@ -38,8 +32,8 @@ def inverse(kind, coeffs: HarmonicCoeffs, L: int | None = None) -> SphereSignal:
 
 
 def row_weights(grid: GridDescriptor) -> np.ndarray:
-    """Per-row quadrature weights ``q(theta_t)`` of a grid."""
-    return _lookup(grid.kind, "weights")(grid.L).q
+    """Per-row quadrature weights ``q(theta_t)`` of a grid, read-only."""
+    return _lookup(grid.kind, "weights")(grid.L)
 
 
 def integrate(signal: SphereSignal) -> complex:

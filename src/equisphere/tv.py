@@ -7,12 +7,12 @@ The discrete norm approximates ``int |grad f| dOmega`` by
 
 with forward differences ``(D_theta x)_{t,p} = x_{t+1,p} - x_{t,p}`` (zero
 on the last row) and cyclic forward differences along longitude, both
-divided by the node spacing.  The row weights ``q`` are the grid's
-quadrature weights (a :class:`~equisphere.samples.RowWeights` of either
-kind) unless the caller passes its own.  Because ``q(theta_t)`` carries a
-``sin(theta_t)`` factor, the ``1/sin(theta)`` in the gradient magnitude
-never blows up; pole rows are single-valued so their longitude term is
-identically zero and is excluded from the weighted operator.
+divided by the node spacing.  The row weights ``q`` are always the
+grid's own quadrature weights (:func:`~equisphere.transforms.row_weights`).
+Because ``q(theta_t)`` carries a ``sin(theta_t)`` factor, the
+``1/sin(theta)`` in the gradient magnitude never blows up; pole rows are
+single-valued so their longitude term is identically zero and is excluded
+from the weighted operator.
 
 :func:`tv_gradient` / :func:`gradient_adjoint` expose the weighted linear
 map inside the norm (and its exact adjoint) for use by convex solvers.
@@ -34,8 +34,6 @@ import numpy as np
 
 from .samples import (
     GridDescriptor,
-    GridMismatchError,
-    RowWeights,
     SphereSignal,
     checked_grid,
     contract_adjoint,
@@ -103,34 +101,13 @@ def gradient(signal: SphereSignal) -> GradientField:
     return GradientField(signal.grid, d_theta, d_phi)
 
 
-def _resolve_weights(grid: GridDescriptor, weights) -> np.ndarray:
-    if weights is None:
-        return row_weights(grid)
-    if isinstance(weights, RowWeights):
-        if weights.kind is not grid.kind or weights.L != grid.L:
-            raise GridMismatchError(
-                f"{weights.kind.name} weights do not match the signal grid"
-            )
-        return weights.q
-    q = np.asarray(weights, dtype=np.float64)
-    if q.shape != (grid.n_theta,):
-        raise GridMismatchError(
-            f"expected {grid.n_theta} row weights, got shape {q.shape}"
-        )
-    if not np.isfinite(q).all():
-        raise ValueError("row weights contain non-finite values")
-    if (q < 0).any():
-        raise ValueError("row weights must be non-negative")
-    return q
-
-
-def _row_scales(grid: GridDescriptor, weights) -> np.ndarray:
+def _row_scales(grid: GridDescriptor) -> np.ndarray:
     """Per-row factors applied to the raw differences inside the norm.
 
     Shape ``(2, n_theta, 1)``, broadcasting against a stacked field:
     ``[0]`` scales the colatitude differences, ``[1]`` the longitude ones.
     """
-    q = _resolve_weights(grid, weights)
+    q = row_weights(grid)
     scales = np.zeros((2, grid.n_theta, 1))
     a_theta, a_phi = scales[:, :, 0]
     a_theta[:] = q / grid.dtheta
@@ -204,42 +181,32 @@ def _tv_total(field: np.ndarray, out: np.ndarray | None = None) -> float:
     return float(np.sqrt(mag, out=mag).sum())
 
 
-def tv_gradient(signal: SphereSignal, weights=None) -> GradientField:
-    """The weighted linear map whose per-site magnitudes sum to the TV norm.
-
-    Args:
-        signal: Samples on either grid.
-        weights: A :class:`~equisphere.samples.RowWeights` of the signal's
-            grid kind and band-limit, or a raw per-row vector of finite,
-            non-negative values; computed from the grid when omitted.
-    """
+def tv_gradient(signal: SphereSignal) -> GradientField:
+    """The weighted linear map whose per-site magnitudes sum to the TV norm."""
     grid = signal.grid
-    d_theta, d_phi = tv_apply_raw(grid, _row_scales(grid, weights), signal.values)
+    d_theta, d_phi = tv_apply_raw(grid, _row_scales(grid), signal.values)
     return GradientField(grid, d_theta, d_phi)
 
 
-def tv_norm(signal: SphereSignal, weights=None) -> float:
-    """Quadrature-weighted discrete TV norm of a signal.
+def tv_norm(signal: SphereSignal) -> float:
+    """Discrete TV norm of a signal, weighted by its grid's quadrature.
 
     Complex signals are handled as the TV of the real part plus the TV of
-    the imaginary part; the experiment pipeline is real-valued.  ``weights``
-    are as for :func:`tv_gradient`: a matching ``RowWeights``, a raw per-row
-    vector, or None for the grid's own.
+    the imaginary part; the experiment pipeline is real-valued.
     """
     grid = checked_grid(None, signal)
-    scales = _row_scales(grid, weights)
+    scales = _row_scales(grid)
     v = signal.values
     parts = (v.real,) if np.all(v.imag == 0.0) else (v.real, v.imag)
     return sum(_tv_total(tv_apply_raw(grid, scales, part)) for part in parts)
 
 
-def gradient_adjoint(field: GradientField, weights=None) -> SphereSignal:
+def gradient_adjoint(field: GradientField) -> SphereSignal:
     """Exact adjoint of :func:`tv_gradient`, as a signal on the same grid.
 
     Satisfies ``<tv_gradient(x), u> == <x, gradient_adjoint(u)>`` to
-    rounding for real inputs, with the same ``weights`` (a ``RowWeights``,
-    raw rows or None) on both sides.
+    rounding for real inputs.
     """
     grid = field.grid
     stacked = np.stack((field.d_theta, field.d_phi))
-    return SphereSignal(grid, tv_adjoint_raw(grid, _row_scales(grid, weights), stacked))
+    return SphereSignal(grid, tv_adjoint_raw(grid, _row_scales(grid), stacked))

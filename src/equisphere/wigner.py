@@ -28,8 +28,10 @@ returns the torus coefficients ``F_{mm'}`` of an expansion.  Both take the
 contraction weights from :func:`_weight_batches`, gathered from the triangle
 eight degrees of one parity at a time, so each order meets a batch in one
 matrix product.  The same weights give the normalized theta profiles of
-:func:`norm_legendre_tables` as Delta sums, so this one recursion is the
-package's only special-function engine.
+:func:`norm_legendre_tables` as Delta sums, so this one recursion serves
+every harmonic table; only the cap test signal
+(:func:`~equisphere.inpaint.make_cap_signal`) runs its own Bonnet
+recursion for the Legendre polynomials ``P_l(cos r)`` of its cap radii.
 """
 
 from __future__ import annotations

@@ -673,11 +673,11 @@ def inverse_direct(grid, coeffs):
 
 def dh_forward_direct(signal):
     """DH forward transform as one dense quadrature sum per coefficient, O(L**4)."""
-    from equisphere.dh import dh_sample_weights
-    from equisphere.samples import HarmonicCoeffs
+    from equisphere.dh import dh_weights
+    from equisphere.samples import HarmonicCoeffs, sample_weights
 
     grid = signal.grid
-    w = dh_sample_weights(grid)
+    w = sample_weights(grid, dh_weights(grid.L))
     return HarmonicCoeffs(grid.L, ylm_matrix(grid).conj().T @ (w * signal.values))
 
 

@@ -82,7 +82,7 @@ def test_criterion_2_sample_counts():
 def test_criterion_3_dh_implicit_weight_condition():
     worst = 0.0
     for L in range(1, 65):
-        q = dh_weights(L).q
+        q = dh_weights(L)
         x = np.cos(theta_nodes(make_grid("dh", L)))
         for el in range(2 * L):
             val = float(q @ eval_legendre(el, x))

@@ -80,6 +80,19 @@ class TestCapSignal:
         with pytest.raises(ValueError):
             make_cap_signal(make_grid("mw", 1))
 
+    @pytest.mark.parametrize("name", ["theta", "phi", "radius", "amplitude"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_cap(self, name, bad):
+        cap = dict(theta=1.0, phi=0.5, radius=0.4, amplitude=1.0)
+        cap[name] = bad
+        with pytest.raises(ValueError, match=f"cap {name} must be finite"):
+            make_cap_signal(make_grid("dh", 8), caps=((1.2, 2.0, 0.3, 1.0), tuple(cap.values())))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_smoothing(self, bad):
+        with pytest.raises(ValueError, match="smoothing must be finite"):
+            make_cap_signal(make_grid("mw", 8), smoothing=bad)
+
     @pytest.mark.parametrize("kind", ["dh", "mw"])
     @pytest.mark.parametrize(
         "caps, smoothing",
@@ -309,7 +322,7 @@ class TestSteps:
 
     @staticmethod
     def _dense_k(g, mask):
-        scales = _row_scales(g, None)
+        scales = _row_scales(g)
         eye = np.eye(g.n_samples)
         tv_rows = np.stack([tv_apply_raw(g, scales, e).reshape(-1) for e in eye], axis=1)
         return np.vstack((tv_rows, eye[mask]))
@@ -659,11 +672,11 @@ class TestRunExperiment:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(ratios=()).validate()
+            ExperimentConfig(ratios=())
         with pytest.raises(ValueError):
-            ExperimentConfig(trials=0).validate()
+            ExperimentConfig(trials=0)
         with pytest.raises(ValueError):
-            ExperimentConfig(domains=("fourier",)).validate()
+            ExperimentConfig(domains=("fourier",))
         for bad in (
             dict(ratios=(0.5, math.nan)),
             dict(ratios=(math.inf,)),
@@ -678,10 +691,10 @@ class TestRunExperiment:
             dict(max_iter=0),
         ):
             with pytest.raises(ValueError):
-                ExperimentConfig(**bad).validate()
-        ExperimentConfig(max_iter=2).validate()
+                ExperimentConfig(**bad)
+        ExperimentConfig(max_iter=2)
 
-    @pytest.mark.parametrize("name", ["trials", "seed", "max_iter"])
+    @pytest.mark.parametrize("name", ["L", "trials", "seed", "max_iter"])
     def test_integer_fields(self, name):
         # rejected by name when the config is made, not deep inside the sweep
         with pytest.raises(ValueError, match=name):
@@ -693,7 +706,7 @@ class TestRunExperiment:
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
-            ExperimentConfig(seed=-1).validate()
+            ExperimentConfig(seed=-1)
 
     def test_kind_strings_coerced(self):
         cfg = ExperimentConfig(

@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -401,6 +402,20 @@ class TestCli:
         from equisphere.mw import mw_forward
 
         assert np.abs(mw_forward(s).values - c.values).max() < 1e-9
+
+    @pytest.mark.parametrize(
+        "option", [["--caps", "1,0,inf,1"], ["--caps", "nan,0,0.5,1"], ["--smoothing", "inf"]]
+    )
+    def test_make_signal_non_finite_input_exit_2(self, tmp_path, capsys, option):
+        # named by the cap-signal check, with no numpy warning on the way
+        out = tmp_path / "caps.sig"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["make-signal", "--kind", "dh", "-L", "8", *option, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be finite" in err
+        assert not out.exists()
 
     def test_experiment_command_deterministic(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

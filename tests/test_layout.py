@@ -9,8 +9,6 @@ pole.
 import numpy as np
 import pytest
 
-from equisphere.dh import dh_sample_weights, dh_weights
-from equisphere.mw import mw_sample_weights, mw_weights
 from equisphere.samples import (
     contract,
     contract_adjoint,
@@ -21,9 +19,11 @@ from equisphere.samples import (
     phi_nodes,
     sample_count,
     sample_index,
+    sample_weights,
     theta_node,
     theta_nodes,
 )
+from equisphere.transforms import row_weights
 
 import oracles
 
@@ -90,8 +90,5 @@ class TestLayoutMatchesBranches:
 
     def test_sample_weights(self, kind, L):
         g = make_grid(kind, L)
-        if kind == "dh":
-            got, q = dh_sample_weights(g), dh_weights(L).q
-        else:
-            got, q = mw_sample_weights(g), mw_weights(L).q
-        assert np.array_equal(got, oracles.sample_weights_branch(g, q))
+        q = row_weights(g)
+        assert np.array_equal(sample_weights(g, q), oracles.sample_weights_branch(g, q))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,12 @@ class TestSampleCount:
             make_grid("mw", -3)
         with pytest.raises(ValueError):
             make_grid("gauss", 4)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, None, "4", 2.5, 4 + 0j])
+    def test_every_bad_bandlimit_is_a_value_error(self, bad):
+        # not the OverflowError or TypeError that int() raises for some of them
+        with pytest.raises(ValueError, match="band-limit must be a positive integer"):
+            make_grid("dh", bad)
 
 
 class TestNodes:

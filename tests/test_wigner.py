@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from scipy.special import sph_harm_y
 
-from equisphere.dh import dh_sample_weights
-from equisphere.mw import mw_sample_weights
-from equisphere.samples import flat_index, make_grid, node_angles, theta_nodes
+from equisphere.samples import flat_index, make_grid, node_angles, sample_weights, theta_nodes
 from equisphere import wigner
+from equisphere.transforms import row_weights
 from equisphere.wigner import norm_legendre_tables, ylm_points
 
 import oracles
@@ -129,7 +128,7 @@ class TestYlm:
         L_pairs = 8
         grid = make_grid(kind, 2 * L_pairs)
         th, ph = node_angles(grid)
-        w = dh_sample_weights(grid) if kind == "dh" else mw_sample_weights(grid)
+        w = sample_weights(grid, row_weights(grid))
         ymat = ylm_matrix(grid)
         gram = ymat.conj().T @ (w[:, None] * ymat)
         expect = np.eye(L_pairs * L_pairs)
