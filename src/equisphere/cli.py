@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import fileio
-from .inpaint import make_cap_signal, run_experiment
+from .inpaint import DEFAULT_CAPS, _cap_table, make_cap_signal, run_experiment
 from .samples import GridMismatchError, make_grid, theta_nodes
 from .transforms import forward, integrate, inverse, row_weights
 from .tv import tv_norm
@@ -73,29 +72,16 @@ def _cmd_integrate(args) -> int:
 
 
 def _parse_caps(spec: str):
-    caps = []
-    for part in spec.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        nums = [float(v) for v in part.split(",")]
-        if len(nums) != 4:
-            raise ValueError(
-                "each cap needs four numbers: theta,phi,radius,amplitude"
-            )
-        caps.append(tuple(nums))
+    caps = [[float(v) for v in part.split(",")] for part in spec.split(";") if part.strip()]
     if not caps:
         raise ValueError("no caps given")
-    return tuple(caps)
+    return _cap_table(caps)
 
 
 def _cmd_make_signal(args) -> int:
     grid = make_grid(args.kind, check_delta_bandlimit(args.bandlimit))
-    caps = _parse_caps(args.caps) if args.caps else None
-    kwargs = {} if caps is None else {"caps": caps}
-    if args.smoothing is not None:
-        kwargs["smoothing"] = args.smoothing
-    signal, coeffs = make_cap_signal(grid, **kwargs)
+    caps = _parse_caps(args.caps) if args.caps else DEFAULT_CAPS
+    signal, coeffs = make_cap_signal(grid, caps, args.smoothing)
     fileio.write_signal(args.out, signal, binary=args.binary)
     if args.coeffs_out:
         fileio.write_coeffs(args.coeffs_out, coeffs, binary=args.binary)
@@ -109,7 +95,7 @@ def _cmd_experiment(args) -> int:
     fileio.write_result_csv(out, rows)
     manifest_path = out.with_suffix(out.suffix + ".manifest.json")
     manifest_path.write_text(json.dumps(manifest, indent=2, default=str) + "\n")
-    if all(row.trials == 0 or math.isnan(row.mean_snr_db) for row in rows):
+    if not any(row.trials for row in rows):
         print("all experiment cells failed; see manifest", file=sys.stderr)
         return EXIT_ALL_FAILED
     return EXIT_OK

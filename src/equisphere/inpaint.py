@@ -39,9 +39,10 @@ by a least-squares correction inside the subspace, through the SVD of the
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -197,6 +198,23 @@ class SolverError(RuntimeError):
 DEFAULT_CAPS = ((1.05, 0.7, 0.85, 1.0), (2.2, 3.8, 0.55, 0.8))
 
 
+def _cap_table(caps) -> np.ndarray:
+    """``caps`` as a ``(k, 4)`` float table; ``ValueError`` unless each cap
+    is four finite numbers ``(theta, phi, radius, amplitude)``."""
+    try:
+        table = [tuple(cap) for cap in caps]
+        ok = all(len(cap) == 4 and all(isinstance(v, numbers.Real) for v in cap) for cap in table)
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"caps must be (theta, phi, radius, amplitude) numbers, got {caps!r}")
+    table = np.array(table, dtype=np.float64).reshape(-1, 4)
+    for name, column in zip(("theta", "phi", "radius", "amplitude"), table.T):
+        if not np.isfinite(column).all():
+            raise ValueError(f"cap {name} must be finite, got {column.tolist()}")
+    return table
+
+
 def make_cap_signal(
     grid: GridDescriptor,
     caps=DEFAULT_CAPS,
@@ -214,7 +232,8 @@ def make_cap_signal(
 
     Args:
         grid: Target grid; fixes both the band-limit and the sample layout.
-        caps: Iterable of ``(theta, phi, radius, amplitude)`` tuples.
+        caps: Iterable of ``(theta, phi, radius, amplitude)`` tuples, four
+            numbers each.
         smoothing: Smoothing scale ``s`` in radians; defaults to ``2.5 / L``.
             It and every cap value must be finite (``ValueError`` otherwise).
 
@@ -228,11 +247,7 @@ def make_cap_signal(
     s = 2.5 / L if smoothing is None else float(smoothing)
     if not math.isfinite(s):
         raise ValueError(f"smoothing must be finite, got {smoothing!r}")
-    table = np.array([tuple(c) for c in caps], dtype=np.float64).reshape(-1, 4)
-    for name, column in zip(("theta", "phi", "radius", "amplitude"), table.T):
-        if not np.isfinite(column).all():
-            raise ValueError(f"cap {name} must be finite, got {column.tolist()}")
-    theta_c, phi_c, radius, amp = table.T
+    theta_c, phi_c, radius, amp = _cap_table(caps).T
     x0 = np.cos(radius)
     # P_l(x0), l <= L, by Bonnet's recursion (l + 1) P_{l+1} = (2l + 1) x P_l - l P_{l-1}
     p = np.ones((L + 1, x0.size))
@@ -643,16 +658,19 @@ class ExperimentConfig:
         object.__setattr__(self, "kinds", tuple(as_kind(k) for k in self.kinds))
         if self.L < 2:
             raise ValueError("experiment band-limit must be at least 2")
-        if not self.ratios or not all(0 < r < math.inf for r in self.ratios):
-            raise ValueError("ratios must be a non-empty list of finite positive numbers")
+        ratios_ok = all(isinstance(r, numbers.Real) and 0 < r < math.inf for r in self.ratios)
+        if not self.ratios or not ratios_ok:
+            raise ValueError(f"ratios must be finite positive numbers, got {self.ratios!r}")
         if self.trials < 1:
             raise ValueError("trial count must be at least 1")
-        if not 0 <= self.sigma_rel < math.inf:
-            raise ValueError("relative noise level must be finite and non-negative")
-        if self.smoothing is not None and not math.isfinite(self.smoothing):
-            raise ValueError("smoothing scale must be finite")
-        if not 0 < self.tol < math.inf:
-            raise ValueError("solver tolerance must be finite and positive")
+        if not (isinstance(self.sigma_rel, numbers.Real) and 0 <= self.sigma_rel < math.inf):
+            raise ValueError(f"sigma_rel must be finite and non-negative, got {self.sigma_rel!r}")
+        if self.smoothing is not None and not (
+            isinstance(self.smoothing, numbers.Real) and math.isfinite(self.smoothing)
+        ):
+            raise ValueError(f"smoothing must be finite, got {self.smoothing!r}")
+        if not (isinstance(self.tol, numbers.Real) and 0 < self.tol < math.inf):
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
         if self.max_iter < 1:
             raise ValueError("iteration budget must be at least 1")
         if self.seed < 0:
@@ -664,6 +682,9 @@ class ExperimentConfig:
             raise ValueError("kinds and domains must be non-empty")
         if self.coeffs is not None and self.coeffs.L != self.L:
             raise ValueError("supplied coefficients do not match the band-limit")
+        object.__setattr__(self, "caps", tuple(map(tuple, _cap_table(self.caps).tolist())))
+        if not self.caps and self.coeffs is None:
+            raise ValueError("caps must hold at least one cap when no coeffs are given")
 
 
 @dataclass(frozen=True)
@@ -681,21 +702,23 @@ class ExperimentCell:
 def run_experiment(config: ExperimentConfig) -> tuple[list[ExperimentCell], dict]:
     """Run the masked-reconstruction sweep and aggregate SNR per cell.
 
-    Per (kind, ratio, trial) the mask and noise are drawn once and shared
-    by the spatial and harmonic solves, so the domain comparison is paired.
-    Ratios beyond complete sampling are clamped to ``M = N`` (the requested
-    ratio labels the cell; the effective count is recorded).  Solver
-    failures are recorded per trial without aborting the remaining cells.
+    Walks kind, domain, ratio, then trial: the order of the result rows and
+    of the failure records.  Trial ``t`` of a (kind, ratio) draws its mask
+    and noise from the seed key ``(seed, kind index, ratio index, t)``, so
+    the spatial and harmonic solves see the same problem and the domain
+    comparison is paired.  Ratios beyond complete sampling are clamped to
+    ``M = N`` (the requested ratio labels the cell; the effective count is
+    recorded).  Solver failures are recorded per trial without aborting
+    the remaining cells.
 
     Returns:
-        The result rows (kind-major, then domain, then ratio order) and a
-        manifest dict with seeds, effective measurement counts, solver
-        settings, failures, and wall time.
+        The result rows and a manifest dict with the config (every field
+        but ``coeffs`` and ``out``), seeds and effective measurement counts
+        per (kind, ratio), failures, and wall time.
     """
     t_start = time.monotonic()
-    snr_lists: dict = {}
-    cell_info: list = []
-    failures: list = []
+    area = config.L * config.L
+    cells, rows, failures = [], [], []
     for ki, kind in enumerate(config.kinds):
         grid = GridDescriptor(kind, config.L)
         if config.coeffs is not None:
@@ -704,74 +727,52 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[ExperimentCell], dict
             x_sig, _ = make_cap_signal(grid, config.caps, config.smoothing)
         x_true = SphereSignal(grid, x_sig.values.real.astype(np.complex128))
         n = grid.n_samples
+        kind_cells = []
         for ri, ratio in enumerate(config.ratios):
-            ratio_eff = min(ratio, n / (config.L * config.L))
-            seeds = []
-            for trial in range(config.trials):
-                seed_key = (config.seed, ki, ri, trial)
-                seeds.append(seed_key)
-                for domain in config.domains:
-                    problem, _rec = make_problem(
-                        x_true, ratio_eff, config.sigma_rel, domain,
+            ratio_eff = min(ratio, n / area)
+            kind_cells.append(
+                {
+                    "kind": kind.value,
+                    "ratio": ratio,
+                    "ratio_effective": ratio_eff,
+                    "measurements": int(round(ratio_eff * area)),
+                    "samples": n,
+                    "seeds": [(config.seed, ki, ri, trial) for trial in range(config.trials)],
+                }
+            )
+        cells += kind_cells
+        for domain in config.domains:
+            for cell in kind_cells:
+                vals = []
+                for trial, seed_key in enumerate(cell["seeds"]):
+                    problem, _ = make_problem(
+                        x_true, cell["ratio_effective"], config.sigma_rel, domain,
                         np.random.SeedSequence(seed_key),
                     )
-                    solver = solve_spatial if domain == SolveDomain.SPATIAL else solve_harmonic
                     try:
-                        result = solver(problem, max_iter=config.max_iter, tol=config.tol)
+                        vals.append(snr(x_true, _solve(problem, config.max_iter, config.tol).x_star))
                     except SolverError as err:
                         failures.append(
                             {
                                 "kind": kind.value,
                                 "domain": domain,
-                                "ratio": ratio,
+                                "ratio": cell["ratio"],
                                 "trial": trial,
                                 "error": str(err),
                             }
                         )
-                        continue
-                    snr_lists.setdefault((ki, domain, ri), []).append(
-                        snr(x_true, result.x_star)
-                    )
-            cell_info.append(
-                {
-                    "kind": kind.value,
-                    "ratio": ratio,
-                    "ratio_effective": ratio_eff,
-                    "measurements": int(round(ratio_eff * config.L * config.L)),
-                    "samples": n,
-                    "seeds": seeds,
-                }
-            )
-    rows = []
-    for ki, kind in enumerate(config.kinds):
-        for domain in config.domains:
-            for ri, ratio in enumerate(config.ratios):
-                vals = snr_lists.get((ki, domain, ri), [])
                 if vals:
                     mean = float(np.mean(vals))
                     std = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
                 else:
                     mean = math.nan
                     std = math.nan
-                rows.append(
-                    ExperimentCell(kind, domain, ratio, mean, std, len(vals))
-                )
-    manifest = {
-        "config": {
-            "L": config.L,
-            "kinds": [k.value for k in config.kinds],
-            "domains": list(config.domains),
-            "ratios": list(config.ratios),
-            "trials": config.trials,
-            "sigma_rel": config.sigma_rel,
-            "seed": config.seed,
-            "max_iter": config.max_iter,
-            "tol": config.tol,
-            "caps": [list(c) for c in config.caps],
-            "smoothing": config.smoothing,
-        },
-        "cells": cell_info,
+                rows.append(ExperimentCell(kind, domain, cell["ratio"], mean, std, len(vals)))
+    settings = {f.name: getattr(config, f.name) for f in fields(config)
+                if f.name not in ("coeffs", "out")}
+    return rows, {
+        "config": settings | {"kinds": [k.value for k in config.kinds]},
+        "cells": cells,
         "failures": failures,
         "wall_time_s": time.monotonic() - t_start,
     }
-    return rows, manifest

@@ -93,6 +93,20 @@ class TestCapSignal:
         with pytest.raises(ValueError, match="smoothing must be finite"):
             make_cap_signal(make_grid("mw", 8), smoothing=bad)
 
+    @pytest.mark.parametrize(
+        "caps",
+        [
+            ((1.0, 0.5, 0.4),),
+            ((1.0, 0.5, 0.4, 1.0, 2.0, 3.0, 0.4, 1.0),),  # not read as two caps
+            (("a", 0.5, 0.4, 1.0),),
+            (None,),
+            (1.0, 0.5, 0.4, 1.0),  # one cap, not wrapped in a table
+        ],
+    )
+    def test_rejects_cap_not_four_numbers(self, caps):
+        with pytest.raises(ValueError, match="caps must be"):
+            make_cap_signal(make_grid("dh", 8), caps=caps)
+
     @pytest.mark.parametrize("kind", ["dh", "mw"])
     @pytest.mark.parametrize(
         "caps, smoothing",
@@ -475,24 +489,6 @@ class TestSolvers:
         res = solver(prob)
         assert res.final_residual <= 1e-8 * max(1.0, np.linalg.norm(prob.y))
 
-    def test_retained_memory_is_one_basis_per_grid(self):
-        # after a DH and an MW harmonic solve at L = 32 only their two
-        # subspace bases stay allocated
-        _subspace_basis.cache_clear()
-        tracemalloc.start()
-        try:
-            for kind in ("dh", "mw"):
-                x_true, _ = _real_cap_signal(kind, 32)
-                prob, _ = make_problem(x_true, 0.5, 0.01, "harmonic", 3)
-                try:
-                    solve_harmonic(prob, max_iter=1)
-                except SolverError:
-                    pass
-            retained = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert retained < 64e6
-
     def test_retained_memory_after_harmonic_solves_is_small(self):
         # the per-order bases of DH and MW at L = 32 take under 1 MB together
         _subspace_basis.cache_clear()
@@ -707,6 +703,53 @@ class TestRunExperiment:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             ExperimentConfig(seed=-1)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("ratios", ("a",)), ("ratios", (None,)), ("sigma_rel", "x"), ("tol", "x"),
+         ("smoothing", "x")],
+    )
+    def test_non_numeric_fields(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "caps",
+        [((1.0, 2.0, 3.0),), ((1.0, 0.5, 0.4, 1.0, 2.0, 3.0, 0.4, 1.0),),
+         ((1.0, 0.5, math.nan, 1.0),), ()],
+    )
+    def test_caps_checked_when_made(self, caps):
+        # refused before any cell runs; an empty table leaves no signal
+        with pytest.raises(ValueError, match="cap"):
+            ExperimentConfig(caps=caps)
+
+    def test_empty_caps_with_coeffs(self):
+        coeffs = random_coeffs(4, np.random.default_rng(0), real_signal=True)
+        assert ExperimentConfig(L=4, caps=(), coeffs=coeffs).caps == ()
+
+    def test_sweep_order_and_pairing(self):
+        # one iteration fails every solve, so the failure records show the
+        # order in which the sweep reached the trials
+        cfg = ExperimentConfig(L=4, ratios=(0.5, 1.0), trials=2, max_iter=1)
+        rows, manifest = run_experiment(cfg)
+        cells = [(k.value, d, r) for k in cfg.kinds for d in cfg.domains for r in cfg.ratios]
+        assert [(r.kind.value, r.domain, r.ratio) for r in rows] == cells
+        assert all(r.trials == 0 for r in rows)
+        failures = [(f["kind"], f["domain"], f["ratio"], f["trial"]) for f in manifest["failures"]]
+        assert failures == [(*cell, t) for cell in cells for t in (0, 1)]
+        assert [c["seeds"] for c in manifest["cells"]] == [
+            [(0, ki, ri, t) for t in (0, 1)] for ki in (0, 1) for ri in (0, 1)
+        ]
+        # both domains' trials of one seed key solve the same problem
+        cell = manifest["cells"][1]
+        x_true, _ = _real_cap_signal(cell["kind"], 4)
+        spatial, harmonic = (
+            make_problem(x_true, cell["ratio_effective"], cfg.sigma_rel, domain,
+                         np.random.SeedSequence(cell["seeds"][1]))[0]
+            for domain in ("spatial", "harmonic")
+        )
+        assert np.array_equal(spatial.op.indices, harmonic.op.indices)
+        assert np.array_equal(spatial.y, harmonic.y)
 
     def test_kind_strings_coerced(self):
         cfg = ExperimentConfig(

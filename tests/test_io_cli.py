@@ -417,6 +417,14 @@ class TestCli:
         assert err.startswith("error: ") and "must be finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec", ["1,0,0.5", "1,0,0.5,1,2,0,0.5,1", "1,0,0.5,x", ";"])
+    def test_make_signal_cap_not_four_numbers_exit_2(self, tmp_path, capsys, spec):
+        out = tmp_path / "caps.sig"
+        code = main(["make-signal", "--kind", "dh", "-L", "8", "--caps", spec, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_experiment_command_deterministic(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(
